@@ -17,7 +17,8 @@ program::NestedLoopProgram wide_program(u32 m, i64 width, Cycles body) {
   using namespace program;
   NodeSeq inner;
   for (u32 l = 0; l < m; ++l) {
-    inner.push_back(doall("L" + std::to_string(l), 4, nullptr,
+    inner.push_back(doall(std::string("L").append(std::to_string(l)),
+                          4, nullptr,
                           [body](const IndexVec&, i64) { return body; }));
   }
   NodeSeq top;

@@ -138,13 +138,19 @@ u32 Auditor::on_attach_revoked(ProcId w, const void* icb) {
   return 0;
 }
 
-u32 Auditor::on_detach(ProcId w, const void* icb, i64 pcount_before) {
+u32 Auditor::on_detach(ProcId w, const void* icb) {
   std::lock_guard lk(mu_);
   ++events_;
-  Shadow& s = shadow(icb);
-  --s.attach_balance;
+  --shadow(icb).attach_balance;
+  (void)w;
+  return 0;
+}
+
+u32 Auditor::on_detach_fetched(ProcId w, i64 pcount_before) {
+  std::lock_guard lk(mu_);
+  ++events_;
   if (pcount_before < 1) {
-    return violate(&s, w, "pcount-negative",
+    return violate(nullptr, w, "pcount-negative",
                    fmt("detach decremented pcount from %lld",
                        static_cast<long long>(pcount_before)));
   }
@@ -375,37 +381,6 @@ u32 Auditor::on_bar_count(ProcId w, u32 loop_uid, bool created, i64 count,
   if (live_bars_ < 0) {
     v += violate(nullptr, w, "bar-count-leak",
                  "more BAR_COUNT nodes reclaimed than allocated");
-  }
-  return v;
-}
-
-u32 Auditor::on_bar_prepare(ProcId w, u32 loop_uid, bool created) {
-  std::lock_guard lk(mu_);
-  ++events_;
-  if (created) ++live_bars_;
-  (void)w;
-  (void)loop_uid;
-  return 0;
-}
-
-u32 Auditor::on_enter_batch(ProcId w, u64 batch_size, i64 outstanding_delta) {
-  std::lock_guard lk(mu_);
-  ++events_;
-  u32 v = 0;
-  if (batch_size == 0) {
-    v += violate(nullptr, w, "batch-empty",
-                 "batched ENTER flushed an empty activation set");
-  }
-  if (outstanding_delta != static_cast<i64>(batch_size)) {
-    v += violate(
-        nullptr, w, "batch-increment-mismatch",
-        fmt("coalesced outstanding increment of %lld for a batch of %llu",
-            static_cast<long long>(outstanding_delta),
-            static_cast<unsigned long long>(batch_size)));
-  }
-  if (done_seen_) {
-    v += violate(nullptr, w, "batch-after-termination",
-                 "batched ENTER flushed after the all-done flag");
   }
   return v;
 }

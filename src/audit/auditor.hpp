@@ -85,8 +85,11 @@ class Auditor {
   u32 on_attach(ProcId w, const void* icb);
   /// Post-attach re-check failed: the attach was revoked before dispatch.
   u32 on_attach_revoked(ProcId w, const void* icb);
-  /// {pcount ; Decrement}; `pcount_before` is the fetched value.
-  u32 on_detach(ProcId w, const void* icb, i64 pcount_before);
+  /// A detach, delivered before its {pcount ; Decrement}.
+  u32 on_detach(ProcId w, const void* icb);
+  /// The fetched value of a detach's {pcount ; Decrement}.  Checked without
+  /// the ICB's shadow, which may already belong to a later generation.
+  u32 on_detach_fetched(ProcId w, i64 pcount_before);
   /// Successful low-level grab of [first, first+count).
   u32 on_dispatch(ProcId w, const void* icb, i64 first, i64 count);
   /// Successful grab of [first, first+count) from shard `shard` of a sharded
@@ -114,16 +117,6 @@ class Auditor {
   /// after the increment.
   u32 on_bar_count(ProcId w, u32 loop_uid, bool created, i64 count, i64 bound,
                    bool tripped);
-  /// Batched-ENTER BAR_COUNT coalescing: the activator find-or-created the
-  /// sibling set's counter (count untouched) before any arrival.
-  u32 on_bar_prepare(ProcId w, u32 loop_uid, bool created);
-  /// One batched-ENTER flush: `batch_size` sibling ICBs about to publish,
-  /// their per-instance `outstanding` increments coalesced into a single
-  /// Increment-by-`outstanding_delta` sync op.  The conservation balance
-  /// still counts per-publish (each on_publish adds one), so the only new
-  /// law is delta == batch_size — a drifting coalesced increment would
-  /// otherwise corrupt `outstanding` silently.
-  u32 on_enter_batch(ProcId w, u64 batch_size, i64 outstanding_delta);
   /// Structural damage found by audit::check_list (hooks.hpp).
   u32 on_list_violation(ProcId w, u32 list, const std::string& detail);
   /// The all-done flag was stored; later activations are protocol breaches.

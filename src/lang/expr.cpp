@@ -72,14 +72,25 @@ ExprPtr Expr::binary(Op op, ExprPtr a, ExprPtr b) {
 }
 
 std::string Expr::to_string() const {
+  // append, not "literal" + std::string: GCC 12's -O3 -Wrestrict reports
+  // a false positive on the latter.
   const auto bin = [this](const char* sym) {
-    return "(" + a_->to_string() + " " + sym + " " + b_->to_string() + ")";
+    return std::string("(")
+        .append(a_->to_string())
+        .append(" ")
+        .append(sym)
+        .append(" ")
+        .append(b_->to_string())
+        .append(")");
+  };
+  const auto un = [this](const char* prefix) {
+    return std::string(prefix).append(a_->to_string()).append(")");
   };
   switch (op_) {
     case Op::kConst: return std::to_string(value_);
     case Op::kVar: return name_;
-    case Op::kNeg: return "(-" + a_->to_string() + ")";
-    case Op::kNot: return "(NOT " + a_->to_string() + ")";
+    case Op::kNeg: return un("(-");
+    case Op::kNot: return un("(NOT ");
     case Op::kAdd: return bin("+");
     case Op::kSub: return bin("-");
     case Op::kMul: return bin("*");

@@ -53,7 +53,8 @@ class Validator {
         // Auto-name before the bound check so its diagnostic can name the
         // offending loop.
         if (n.name.empty()) {
-          n.name = "L" + std::to_string(info_.num_leaves + 1);
+          n.name = std::string("L").append(
+              std::to_string(info_.num_leaves + 1));
         }
         check_bound(n);
         if (n.doacross) {

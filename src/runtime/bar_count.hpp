@@ -100,41 +100,6 @@ class BarCountTable {
     return tripped;
   }
 
-  /// Find-or-create the counter for (loop_uid, prefix) without arriving at
-  /// it — the batched-ENTER coalescing point: one activator pre-creates the
-  /// node for the whole sibling set under one bucket-lock acquisition, so
-  /// the M later arrivals (and any vacuous completions racing the batch
-  /// collection) always find it instead of contending on first-create.
-  /// Idempotent; count is untouched.
-  void prepare(C& ctx, u32 loop_uid, std::size_t prefix_len,
-               const IndexVec& ivec, [[maybe_unused]] i64 bound) {
-    SS_DCHECK(bound >= 1);
-    const u64 h =
-        hash_prefix(ivec, prefix_len) ^ (u64{loop_uid} * 0x9e3779b97f4a7c15ULL);
-    Bucket& bucket = buckets_[h & mask_];
-    ctx_lock(ctx, bucket.lock);
-    charge_cycles(ctx, kProbeCost);
-    Node* n = bucket.head;
-    while (n != nullptr &&
-           !(n->loop_uid == loop_uid && n->prefix_len == prefix_len &&
-             prefix_equal(n->prefix, ivec, prefix_len))) {
-      charge_cycles(ctx, kProbeCost);
-      n = n->next;
-    }
-    const bool created = (n == nullptr);
-    if (created) {
-      n = alloc_node(ctx);
-      n->loop_uid = loop_uid;
-      n->prefix_len = prefix_len;
-      copy_prefix(n->prefix, ivec, prefix_len);
-      n->count.reset(0);
-      n->next = bucket.head;
-      bucket.head = n;
-    }
-    audit::on_bar_prepare(ctx, loop_uid, created);
-    ctx_unlock(ctx, bucket.lock);
-  }
-
   /// Quiescence token for the host-side accessors below: granted by
   /// default (unit tests drive the table single-threaded), revoked by
   /// ProgramRun while workers are live, re-granted once they have joined.

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 #include "audit/hooks.hpp"
 #include "common/check.hpp"
@@ -38,7 +37,6 @@ struct SchedState {
     done.reset(0);
     cancel.claim.reset(0);
     cancel.latch.reset(0);
-    icbs.configure(o.icb_shards);
   }
 
   /// Forward the host-quiescence token (see ProgramRun): revoked while
@@ -450,38 +448,11 @@ Level exit_from(C& ctx, SchedState<C>& st, LoopId i, Level from_level,
 //                                     instances, Fig. 8(b)); zero-trip
 //                                     loops complete vacuously; serial
 //                                     child loop: activate index 1 only.
-//
-// Batched ENTER (`SchedOptions::enter_batch`): with batching on, the walk
-// below *collects* innermost activations instead of publishing each one on
-// the spot — the Fig. 8(b) recursion over M sibling index values (and any
-// nested fan-out under it) accumulates the whole activation set, and the
-// wrapper flushes it once: one IcbPool pass for the batch, one coalesced
-// `outstanding` Increment-by-n, and one lock acquisition + SW publish per
-// touched pool list (TaskPool::append_batch).  With batching off (the
-// default) the nullptr-batch walk below is bit-identical to the paper's
-// one-at-a-time ENTER.
 // ---------------------------------------------------------------------------
 
-/// One collected-but-not-yet-published innermost activation.
 template <exec::ExecutionContext C>
-struct EnterBatch {
-  struct Pending {
-    LoopId loop = kNoLoop;
-    i64 bound = 0;
-    IndexVec ivec;  // snapshot of the walk's index vector at collection
-    Level depth = 0;
-    bool needs_da = false;
-    u32 pool_list = 0;
-  };
-  std::vector<Pending> pending;
-};
-
-template <exec::ExecutionContext C>
-void flush_enter_batch(C& ctx, SchedState<C>& st, EnterBatch<C>& batch);
-
-template <exec::ExecutionContext C>
-void enter_impl(C& ctx, SchedState<C>& st, LoopId cur, Level level,
-                IndexVec& ivec, EnterBatch<C>* batch) {
+void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
+           IndexVec& ivec) {
   const program::CompiledProgram& prog = *st.prog;
 
   for (;;) {
@@ -564,13 +535,6 @@ void enter_impl(C& ctx, SchedState<C>& st, LoopId cur, Level level,
         level = lev;
         continue;
       }
-      if (batch != nullptr) {
-        // Batched path: defer allocation and publication to the flush.
-        batch->pending.push_back({cur, b, ivec, d->depth,
-                                  d->doacross.has_value(),
-                                  st.list_of(cur, ctx.proc())});
-        return;
-      }
       const Cycles te = trace::event_begin(ctx);
       charge_cost<C>(ctx, &vtime::CostModel::icb_alloc);
       if constexpr (C::kIsSimulated) {
@@ -604,17 +568,10 @@ void enter_impl(C& ctx, SchedState<C>& st, LoopId cur, Level level,
       continue;
     }
     if (crow.parallel) {
-      if (batch != nullptr) {
-        // Coalesced BAR_COUNT initialization: pre-create the sibling set's
-        // barrier counter under one bucket-lock acquisition, BEFORE the
-        // recursion — vacuous completions inside it arrive at this barrier
-        // immediately and must find the node the batch accounts against.
-        st.bars.prepare(ctx, crow.loop_uid, level, ivec, m);
-      }
       // Fig. 8(b): M sibling instances, one per index value.
       for (i64 k = 1; k <= m; ++k) {
         ivec[child - 1] = k;
-        enter_impl(ctx, st, cur, child, ivec, batch);
+        enter(ctx, st, cur, child, ivec);
       }
       return;
     }
@@ -623,79 +580,6 @@ void enter_impl(C& ctx, SchedState<C>& st, LoopId cur, Level level,
     ivec[child - 1] = 1;
     level = child;
   }
-}
-
-/// ENTER entry point: the nullptr-batch walk when batching is off (the
-/// paper's path, bit-identical), else collect-then-flush.
-template <exec::ExecutionContext C>
-void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
-           IndexVec& ivec) {
-  if (!st.opts.enter_batch) {
-    enter_impl<C>(ctx, st, cur, level, ivec, nullptr);
-    return;
-  }
-  EnterBatch<C> batch;
-  enter_impl<C>(ctx, st, cur, level, ivec, &batch);
-  flush_enter_batch(ctx, st, batch);
-}
-
-/// Publish a collected activation set: one IcbPool pass, per-ICB init, a
-/// single coalesced `outstanding` Increment-by-n (before any append, so the
-/// never-dips-to-zero termination invariant is preserved), then one
-/// append_batch per touched pool list with the siblings in walk order.
-template <exec::ExecutionContext C>
-void flush_enter_batch(C& ctx, SchedState<C>& st, EnterBatch<C>& batch) {
-  using Pending = typename EnterBatch<C>::Pending;
-  const std::size_t n = batch.pending.size();
-  if (n == 0) return;
-  const Cycles te = trace::event_begin(ctx);
-
-  std::vector<Icb<C>*> blocks;
-  blocks.reserve(n);
-  st.icbs.acquire_batch(ctx, blocks, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const Pending& p = batch.pending[k];
-    charge_cost<C>(ctx, &vtime::CostModel::icb_alloc);
-    if constexpr (C::kIsSimulated) {
-      ctx.charge(ctx.costs().ivec_copy_per_level *
-                 static_cast<Cycles>(p.depth));
-    }
-    blocks[k]->init(p.loop, p.bound, p.ivec, p.needs_da, p.depth,
-                    std::min(std::max(1u, st.opts.index_shards),
-                             shard::kMaxIndexShards));
-    blocks[k]->pool_list = p.pool_list;
-  }
-
-  ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kFetchAdd,
-              static_cast<i64>(n));
-  audit::on_enter_batch(ctx, n, static_cast<i64>(n));
-  trace::bump(ctx, &trace::Counters::enter_batches);
-
-  // Group siblings by destination list (stable: walk order within a list).
-  std::vector<u32> order(n);
-  for (std::size_t k = 0; k < n; ++k) order[k] = static_cast<u32>(k);
-  std::stable_sort(order.begin(), order.end(), [&](u32 a, u32 b) {
-    return batch.pending[a].pool_list < batch.pending[b].pool_list;
-  });
-  std::vector<Icb<C>*> group;
-  group.reserve(n);
-  std::size_t k = 0;
-  while (k < n) {
-    const u32 list = batch.pending[order[k]].pool_list;
-    group.clear();
-    while (k < n && batch.pending[order[k]].pool_list == list) {
-      group.push_back(blocks[order[k]]);
-      ++k;
-    }
-    st.pool.append_batch(ctx, list, group.data(), group.size());
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Pending& p = batch.pending[i];
-    trace::event_end(ctx, te, trace::EventKind::kEnter, p.loop,
-                     trace::ivec_hash(p.ivec, p.depth), 1, p.bound);
-  }
-  ctx.stats().enters += static_cast<u64>(n);
 }
 
 /// Why SEARCH ended.  kYield exists for resident services (src/serve/):

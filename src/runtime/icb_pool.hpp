@@ -1,143 +1,65 @@
-// ICB allocator: free lists over address-stable arenas, guarded by the
+// ICB allocator: a free list over an address-stable arena, guarded by the
 // paper's lock protocol.  ICBs are created by ENTER and released by the
 // last processor to leave a completed instance (Algorithm 3's "release the
 // ICB"); recycling keeps activation cost flat and reuses the heap-backed
 // auxiliaries — the Doacross per-iteration flag arrays and the sharded-index
-// shard counter arrays (both capacity-tracked in Icb::init).
-//
-// The pool is split into `configure(G)` shards (default 1 — exactly the
-// paper's single freelist, same lock and sync-op sequence).  With G > 1
-// each worker acquires from and releases to its home shard (block mapping
-// by processor id, the shard_math.hpp shape) and steals from sibling
-// shards — each probed under its own lock, never by an unlocked peek —
-// only when its home freelist is drained.  Arena growth is per shard and
-// never moves existing ICBs, and a block released to a foreign shard simply
-// migrates there: the recycle happens-before chain (icb.hpp) only needs
-// the releaser's shard-lock release to pair with the next acquirer's
-// shard-lock acquire, which push/pop-under-the-owning-lock guarantees.
+// shard counter arrays (both capacity-tracked in Icb::init).  Arena growth
+// never moves existing ICBs, and the recycle happens-before chain (icb.hpp)
+// rests on the releaser's pool-lock release pairing with the next
+// acquirer's pool-lock acquire.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <deque>
-#include <memory>
 #include <unordered_set>
-#include <vector>
 
 #include "audit/hooks.hpp"
 #include "common/cacheline.hpp"
 #include "common/check.hpp"
-#include "common/shard_math.hpp"
 #include "exec/context.hpp"
 #include "runtime/ctx_sync.hpp"
 #include "runtime/icb.hpp"
-#include "trace/recorder.hpp"
 
 namespace selfsched::runtime {
 
 template <exec::ExecutionContext C>
 class IcbPool {
  public:
-  IcbPool() { configure(1); }
+  IcbPool() { lock_.reset(1); }
 
   IcbPool(const IcbPool&) = delete;
   IcbPool& operator=(const IcbPool&) = delete;
 
-  /// Rebuild the pool with `g` freelist shards (clamped to [1,
-  /// shard::kMaxIndexShards]).  Setup-time only: must precede the first
-  /// acquire — reconfiguring a populated pool would strand live blocks.
-  void configure(u32 g) {
-    SS_CHECK_MSG(allocated_.load(std::memory_order_relaxed) == 0,
-                 "IcbPool::configure on a populated pool");
-    nshards_ = std::min(std::max(1u, g), shard::kMaxIndexShards);
-    shards_ = std::make_unique<Shard[]>(nshards_);
-    for (u32 i = 0; i < nshards_; ++i) shards_[i].lock.reset(1);
-  }
-
-  u32 shard_count() const { return nshards_; }
-
-  /// Pop a free ICB (growing the caller's home arena if every shard is
-  /// drained).  The returned block is exclusively owned by the caller until
-  /// APPEND publishes it.  With one shard this is bit-identical to the
-  /// paper's single-freelist pool: one lock region, pop-or-grow, hook
-  /// inside the lock.
+  /// Pop a free ICB, growing the arena if the free list is empty.  The
+  /// returned block is exclusively owned by the caller until APPEND
+  /// publishes it.
   Icb<C>* acquire(C& ctx) {
-    Shard& h = shards_[home_of(ctx)];
-    ctx_lock(ctx, h.lock);
-    Icb<C>* p = pop_locked(h);
-    if (p == nullptr && nshards_ > 1) {
-      ctx_unlock(ctx, h.lock);
-      if ((p = steal_one(ctx, home_of(ctx))) != nullptr) return p;
-      ctx_lock(ctx, h.lock);
-      p = pop_locked(h);  // a release may have refilled home meanwhile
+    ctx_lock(ctx, lock_);
+    Icb<C>* p = free_head_;
+    if (p != nullptr) {
+      free_head_ = p->right;
+    } else {
+      arena_.emplace_back();
+      allocated_.fetch_add(1, std::memory_order_relaxed);
+      p = &arena_.back();
     }
-    if (p == nullptr) p = grow_locked(h);
     // Inside the lock region: acquire/release hook delivery for one ICB is
     // therefore ordered exactly like the pool operations themselves.
     audit::on_acquire(ctx, p);
-    ctx_unlock(ctx, h.lock);
+    ctx_unlock(ctx, lock_);
     return p;
   }
 
-  /// Acquire `n` ICBs for a batched ENTER in one pool pass: drain the home
-  /// shard under a single lock acquisition, steal the remainder from
-  /// sibling shards (one try-lock each), and grow the home arena last for
-  /// whatever is left.  Appends the blocks to `out`.
-  void acquire_batch(C& ctx, std::vector<Icb<C>*>& out, std::size_t n) {
-    if (n == 0) return;
-    const std::size_t want = out.size() + n;
-    const u32 home = home_of(ctx);
-    Shard& h = shards_[home];
-    ctx_lock(ctx, h.lock);
-    while (out.size() < want) {
-      Icb<C>* p = pop_locked(h);
-      if (p == nullptr) break;
-      audit::on_acquire(ctx, p);
-      out.push_back(p);
-    }
-    if (out.size() == want) {
-      ctx_unlock(ctx, h.lock);
-      return;
-    }
-    ctx_unlock(ctx, h.lock);
-    for (u32 probe = 1; probe < nshards_ && out.size() < want; ++probe) {
-      Shard& s = shards_[(home + probe) % nshards_];
-      if constexpr (C::kIsSimulated) {
-        ctx.charge(ctx.costs().steal_probe_extra);
-      }
-      if (!ctx_try_lock(ctx, s.lock)) continue;
-      while (out.size() < want) {
-        Icb<C>* p = pop_locked(s);
-        if (p == nullptr) break;
-        trace::bump(ctx, &trace::Counters::icb_steals);
-        audit::on_acquire(ctx, p);
-        out.push_back(p);
-      }
-      ctx_unlock(ctx, s.lock);
-    }
-    if (out.size() < want) {
-      ctx_lock(ctx, h.lock);
-      while (out.size() < want) {
-        Icb<C>* p = pop_locked(h);  // refilled by a racing release?
-        if (p == nullptr) p = grow_locked(h);
-        audit::on_acquire(ctx, p);
-        out.push_back(p);
-      }
-      ctx_unlock(ctx, h.lock);
-    }
-  }
-
-  /// Return a released ICB to the releaser's home freelist.  Caller must
-  /// guarantee no other processor still holds a pointer (pcount protocol).
+  /// Return a released ICB to the free list.  Caller must guarantee no
+  /// other processor still holds a pointer (pcount protocol).
   void release(C& ctx, Icb<C>* p) {
     SS_DCHECK(p != nullptr);
-    Shard& h = shards_[home_of(ctx)];
-    ctx_lock(ctx, h.lock);
+    ctx_lock(ctx, lock_);
     audit::on_release(ctx, p);
-    p->right = h.free_head;
+    p->right = free_head_;
     p->left = nullptr;
-    h.free_head = p;
-    ctx_unlock(ctx, h.lock);
+    free_head_ = p;
+    ctx_unlock(ctx, lock_);
   }
 
   /// Arena size (high-water mark of simultaneously live ICBs; tests verify
@@ -152,81 +74,31 @@ class IcbPool {
   void set_host_quiescent(bool q) { host_quiescent_ = q; }
 
   /// Host-side sweep of every in-use ICB (cancelled-run drain): invokes
-  /// `fn(Icb<C>*)` on each arena block not on a free list, then returns it
-  /// to its arena shard's free list.  Caller must hold the quiescence
-  /// token: every worker has joined, so no lock is taken and no hook
-  /// ordering is at stake.
+  /// `fn(Icb<C>*)` on each arena block not on the free list, then returns
+  /// it to the free list.  Caller must hold the quiescence token: every
+  /// worker has joined, so no lock is taken and no hook ordering is at
+  /// stake.
   template <typename Fn>
   void host_drain(Fn&& fn) {
     SS_DCHECK_MSG(host_quiescent_, "IcbPool::host_drain outside quiescence");
     std::unordered_set<const Icb<C>*> free;
-    for (u32 g = 0; g < nshards_; ++g) {
-      for (const Icb<C>* p = shards_[g].free_head; p != nullptr;
-           p = p->right) {
-        free.insert(p);
-      }
+    for (const Icb<C>* p = free_head_; p != nullptr; p = p->right) {
+      free.insert(p);
     }
-    for (u32 g = 0; g < nshards_; ++g) {
-      Shard& s = shards_[g];
-      for (Icb<C>& node : s.arena) {
-        if (free.count(&node) != 0) continue;
-        fn(&node);
-        node.right = s.free_head;
-        node.left = nullptr;
-        s.free_head = &node;
-      }
+    for (Icb<C>& node : arena_) {
+      if (free.count(&node) != 0) continue;
+      fn(&node);
+      node.right = free_head_;
+      node.left = nullptr;
+      free_head_ = &node;
     }
   }
 
  private:
-  struct alignas(kCacheLine) Shard {
-    typename C::Sync lock;
-    Icb<C>* free_head = nullptr;
-    std::deque<Icb<C>> arena;  // deque: growth never moves existing ICBs
-  };
-
-  u32 home_of(C& ctx) const {
-    return nshards_ == 1
-               ? 0u
-               : shard::home_shard_of(ctx.proc(), std::max(1u, ctx.num_procs()),
-                                      nshards_);
-  }
-
-  static Icb<C>* pop_locked(Shard& s) {
-    Icb<C>* p = s.free_head;
-    if (p != nullptr) s.free_head = p->right;
-    return p;
-  }
-
-  Icb<C>* grow_locked(Shard& s) {
-    s.arena.emplace_back();
-    allocated_.fetch_add(1, std::memory_order_relaxed);
-    return &s.arena.back();
-  }
-
-  /// Probe sibling shards (home-first ring, each under its own lock) for
-  /// one free block.  Returns it acquired (hook fired) or nullptr.
-  Icb<C>* steal_one(C& ctx, u32 home) {
-    for (u32 probe = 1; probe < nshards_; ++probe) {
-      Shard& s = shards_[(home + probe) % nshards_];
-      if constexpr (C::kIsSimulated) {
-        ctx.charge(ctx.costs().steal_probe_extra);
-      }
-      if (!ctx_try_lock(ctx, s.lock)) continue;
-      Icb<C>* p = pop_locked(s);
-      if (p != nullptr) {
-        trace::bump(ctx, &trace::Counters::icb_steals);
-        audit::on_acquire(ctx, p);
-        ctx_unlock(ctx, s.lock);
-        return p;
-      }
-      ctx_unlock(ctx, s.lock);
-    }
-    return nullptr;
-  }
-
-  u32 nshards_ = 1;
-  std::unique_ptr<Shard[]> shards_;
+  // On its own cache line, like the task-pool list locks.
+  alignas(kCacheLine) typename C::Sync lock_;
+  Icb<C>* free_head_ = nullptr;
+  std::deque<Icb<C>> arena_;  // deque: growth never moves existing ICBs
   std::atomic<u64> allocated_{0};
   bool host_quiescent_ = true;
 };

@@ -140,26 +140,6 @@ struct SchedOptions {
   /// paper layout exactly (same sync-op and cost sequence).
   u32 index_shards = 1;
 
-  /// Batched ENTER: when a parallel child loop activates M sibling
-  /// instances (the Fig. 8(b) path), collect the whole activation set
-  /// first, acquire the ICBs in one pool pass, coalesce the per-instance
-  /// `outstanding` increments into a single Increment-by-n sync op, and
-  /// link each group of siblings bound for the same pool list under one
-  /// lock acquisition with one SW publish.  false (the default) reproduces
-  /// the paper's one-at-a-time ENTER bit-identically (same sync-op and
-  /// cost sequence); see docs/hotpath.md.
-  bool enter_batch = false;
-
-  /// Shards of the ICB pool's freelist/arena (>= 1, clamped to
-  /// shard::kMaxIndexShards).  With G > 1 each worker acquires from and
-  /// releases to its home shard (block mapping by processor id, the
-  /// shard_math.hpp shape) and steals from sibling shards only when its
-  /// home freelist is drained, spreading the pool-lock traffic that a
-  /// single global freelist serializes under instance churn.  Arena
-  /// addresses stay stable and the acquire/release audit-hook ordering is
-  /// unchanged.  1 reproduces the paper's single freelist exactly.
-  u32 icb_shards = 1;
-
   /// Failure policy after a cancelled run (see OnBodyError).
   OnBodyError on_body_error = OnBodyError::kThrow;
 

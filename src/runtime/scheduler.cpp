@@ -1,7 +1,5 @@
 #include "runtime/scheduler.hpp"
 
-#include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -49,20 +47,21 @@ RunResult run_vtime(const program::NestedLoopProgram& prog, u32 procs,
   return r;
 }
 
-namespace {
+RunResult run_threads(const program::NestedLoopProgram& prog, u32 procs,
+                      const SchedOptions& opts) {
+  exec::ThreadTeam team(procs);
+  return run_threads_on(team, prog, opts);
+}
 
-/// Shared core of the threaded runners: `dispatch` must invoke its
-/// argument once per ProcId 0..procs-1 concurrently and return when all
-/// have finished.
-template <typename Dispatch>
-RunResult run_threads_impl(const program::NestedLoopProgram& prog, u32 procs,
-                           const SchedOptions& opts, Dispatch&& dispatch) {
-  SS_CHECK(procs >= 1);
+RunResult run_threads_on(exec::ThreadTeam& team,
+                         const program::NestedLoopProgram& prog,
+                         const SchedOptions& opts) {
+  const u32 procs = team.procs();
   ProgramRun<exec::RContext> run(prog.tables(), opts, procs);
   sync::SpinBarrier start_line(procs);
   Stopwatch watch;
 
-  dispatch([&](ProcId id) {
+  team.run([&](ProcId id) {
     exec::RContext ctx(id, procs, opts.measure_phases);
     ctx.set_trace_sink(&run.rec.sink(id), run.rec.epoch());
     ctx.set_audit_sink(run.auditing.sink);
@@ -80,28 +79,6 @@ RunResult run_threads_impl(const program::NestedLoopProgram& prog, u32 procs,
   RunResult r = run.finish(procs, watch.elapsed_ns());
   maybe_throw_failure(opts, r);
   return r;
-}
-
-}  // namespace
-
-RunResult run_threads(const program::NestedLoopProgram& prog, u32 procs,
-                      const SchedOptions& opts) {
-  return run_threads_impl(
-      prog, procs, opts, [procs](const std::function<void(ProcId)>& body) {
-        std::vector<std::thread> team;
-        team.reserve(procs);
-        for (u32 id = 1; id < procs; ++id) team.emplace_back(body, id);
-        body(0);
-        for (std::thread& t : team) t.join();
-      });
-}
-
-RunResult run_threads_on(exec::ThreadTeam& team,
-                         const program::NestedLoopProgram& prog,
-                         const SchedOptions& opts) {
-  return run_threads_impl(
-      prog, team.procs(), opts,
-      [&team](const std::function<void(ProcId)>& body) { team.run(body); });
 }
 
 }  // namespace selfsched::runtime

@@ -60,41 +60,6 @@ class TaskPool {
     ctx_unlock(ctx, l.lock);
   }
 
-  /// Batched APPEND (the ENTER batch path): link `n` sibling ICBs bound for
-  /// the same list under ONE lock acquisition and ONE SW reset/set pair,
-  /// instead of n of each.  Per-ICB publish hooks still fire inside the
-  /// lock region in link order, so the auditor sees the same lifecycle
-  /// sequence as n serial appends.
-  void append_batch(C& ctx, u32 i, Icb<C>* const* ips, std::size_t n) {
-    SS_DCHECK(i < m_);
-    SS_DCHECK(n > 0);
-    trace::bump(ctx, &trace::Counters::pool_appends, n);
-    List& l = lists_[i];
-    ctx_lock(ctx, l.lock);
-    sw_.reset(ctx, i);
-    for (std::size_t k = 0; k < n; ++k) {
-      Icb<C>* ip = ips[k];
-      if constexpr (C::kIsSimulated) {
-        ctx.charge(ctx.costs().batch_link);
-      }
-      Icb<C>* x = l.tail;
-      ip->left = x;
-      ip->right = nullptr;
-      l.tail = ip;
-      if (x != nullptr) {
-        x->right = ip;
-      } else {
-        l.head = ip;
-      }
-      audit::on_publish_icb(ctx, ip, i);
-    }
-    sw_.set(ctx, i);
-    audit::check_list(ctx, i, static_cast<const Icb<C>*>(l.head),
-                      static_cast<const Icb<C>*>(l.tail),
-                      [&] { return sw_.peek(i); });
-    ctx_unlock(ctx, l.lock);
-  }
-
   /// Algorithm 1: unlink `ip` from list i; SW(i) ends up 1 iff the list is
   /// still non-empty.  The ICB itself stays alive until its pcount drains.
   void delete_icb(C& ctx, u32 i, Icb<C>* ip) {

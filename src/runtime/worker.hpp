@@ -126,6 +126,17 @@ void stall_worker(C& ctx, SchedState<C>& st, const fault::FaultSpec& f,
   }
 }
 
+/// Leave an instance without releasing it: {pcount ; Decrement}.  The
+/// balance hook fires first, because the decrement can let the completer
+/// release the ICB and another worker re-acquire it (audit/hooks.hpp).
+template <exec::ExecutionContext C>
+void detach(C& ctx, Icb<C>* ip) {
+  audit::on_detach(ctx, ip);
+  const i64 before =
+      ctx.sync_op(ip->pcount, Test::kNone, 0, Op::kDecrement).fetched;
+  audit::on_detach_fetched(ctx, before);
+}
+
 /// How a worker_session ended.
 enum class SessionExit : u32 {
   kDone,   // the program terminated (or was cancelled and drained)
@@ -154,10 +165,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
       // Detach exactly like a failed grab; the instance keeps its other
       // processors and stays findable in the pool.
       exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      const i64 before =
-          ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-              .fetched;
-      audit::on_detach(ctx, cursor.ip, before);
+      detach(ctx, cursor.ip);
       return SessionExit::kYield;
     }
     const program::InnermostDesc& d = st.prog->loops[cursor.i];
@@ -178,10 +186,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
       // Instance fully scheduled: detach and look for other work.
       {
         exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-        const i64 before =
-            ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-                .fetched;
-        audit::on_detach(ctx, cursor.ip, before);
+        detach(ctx, cursor.ip);
       }
       found = search_until(ctx, st, cursor, should_yield);
       continue;
@@ -269,10 +274,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
       // complete, so the post-join drain reclaims it.  Detach and head for
       // the exit through SEARCH.
       exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      const i64 before =
-          ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-              .fetched;
-      audit::on_detach(ctx, cursor.ip, before);
+      detach(ctx, cursor.ip);
       found = search_until(ctx, st, cursor, should_yield);
       continue;
     }
@@ -316,10 +318,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
                     .success) {
           deadline_check(ctx, st);
           if (cancel_requested(ctx, st)) {
-            const i64 before =
-                ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-                    .fetched;
-            audit::on_detach(ctx, cursor.ip, before);
+            detach(ctx, cursor.ip);
             released = false;
             break;
           }
@@ -327,7 +326,9 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
           ctx.pause(backoff.next());
         }
         if (released) {
-          audit::on_detach(ctx, cursor.ip, 1);
+          // After the decrement, unlike detach(): only this worker can
+          // release the ICB now, and it has not done so yet.
+          audit::on_detach(ctx, cursor.ip);
           charge_cost<C>(ctx, &vtime::CostModel::icb_release);
           st.icbs.release(ctx, cursor.ip);
           ctx.stats().icbs_released++;

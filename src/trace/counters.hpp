@@ -47,10 +47,6 @@ struct Counters {
                                // after the worker's home drained
   u64 cross_shard_ops = 0;     // sibling-shard probes (each steal attempt,
                                // successful or not)
-  u64 enter_batches = 0;       // batched-ENTER flushes (one per activation
-                               // set published through the batch path)
-  u64 icb_steals = 0;          // ICB-pool acquisitions satisfied from a
-                               // non-home arena shard
   u64 serve_retries = 0;       // transient failures resubmitted into a
                                // fresh ProgramRun namespace
   u64 serve_watchdog_rescues = 0;  // stall-watchdog cancellations (the
@@ -90,8 +86,6 @@ struct Counters {
     fn("shard_grants", &Counters::shard_grants);
     fn("shard_steals", &Counters::shard_steals);
     fn("cross_shard_ops", &Counters::cross_shard_ops);
-    fn("enter_batches", &Counters::enter_batches);
-    fn("icb_steals", &Counters::icb_steals);
     fn("serve_retries", &Counters::serve_retries);
     fn("serve_watchdog_rescues", &Counters::serve_watchdog_rescues);
     fn("serve_quarantines", &Counters::serve_quarantines);

@@ -15,7 +15,6 @@ CostModel CostModel::cheap_sync() {
   c.cond_eval = 5;
   c.bound_eval = 3;
   c.dispatch_arith = 2;
-  c.batch_link = 1;
   return c;
 }
 
@@ -30,7 +29,6 @@ CostModel CostModel::expensive_sync() {
   c.cond_eval = 20;
   c.bound_eval = 12;
   c.dispatch_arith = 8;
-  c.batch_link = 4;
   return c;
 }
 

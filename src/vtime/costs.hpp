@@ -39,13 +39,6 @@ struct CostModel {
   /// remaining/P division, factoring's batch computation).
   Cycles dispatch_arith = 4;
 
-  /// Linking one sibling ICB into an already-locked task-pool list on the
-  /// batched ENTER path (the amortized share of the lock + SW publish that
-  /// batching spreads over the whole group).  Only charged when
-  /// `SchedOptions::enter_batch` is on, so the default path's vtime replay
-  /// is untouched.
-  Cycles batch_link = 2;
-
   /// --- Topology (sharded-dispatch platform description) ---------------
   /// The simulated machine is split into `topo_groups` equal blocks of
   /// processors (sockets / NUMA nodes).  A sync op on an index counter

@@ -120,7 +120,8 @@ class RandomBuilder {
   }
 
   NodePtr gen_leaf(Level level, bool allow_zero_bound) {
-    const std::string name = "R" + std::to_string(++leaf_counter_);
+    const std::string name =
+        std::string("R").append(std::to_string(++leaf_counter_));
     Bound b = gen_bound(level, cfg_.max_leaf_bound, allow_zero_bound);
     const Cycles cost = rng_.range(1, cfg_.max_body_cost);
     BodyFn body = bodies_ ? bodies_(name) : BodyFn{};

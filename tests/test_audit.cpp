@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/auditor.hpp"
 #include "audit/hooks.hpp"
+#include "exec/real_context.hpp"
 #include "program/fig1.hpp"
 #include "runtime/high_level.hpp"
 #include "runtime/scheduler.hpp"
@@ -46,7 +49,7 @@ void clean_cycle(Auditor& a, const void* icb, LoopId loop = 3, i64 bound = 4) {
   ASSERT_EQ(a.on_dispatch(1, icb, 1, bound), 0u);
   ASSERT_EQ(a.on_unlink(1, icb), 0u);
   ASSERT_EQ(a.on_complete(1, icb, 0, bound), 0u);
-  ASSERT_EQ(a.on_detach(1, icb, 1), 0u);
+  ASSERT_EQ(a.on_detach(1, icb), 0u);
   ASSERT_EQ(a.on_release(1, icb), 0u);
 }
 
@@ -108,7 +111,7 @@ TEST(Auditor, DetachObservingNonPositivePcountIsViolation) {
   int icb = 0;
   a.on_acquire(0, &icb);
   a.on_publish(0, &icb, 0, 0, 4, 0);
-  EXPECT_EQ(a.on_detach(1, &icb, 0), 1u);
+  EXPECT_EQ(a.on_detach_fetched(1, 0), 1u);
   EXPECT_TRUE(has_rule(a, "pcount-negative"));
 }
 
@@ -227,7 +230,7 @@ void clean_sharded_cycle(Auditor& a, const void* icb) {
   ASSERT_EQ(a.on_shard_exhaust(1, icb, 1, /*elected=*/true), 0u);
   ASSERT_EQ(a.on_unlink(1, icb), 0u);
   ASSERT_EQ(a.on_complete(1, icb, 0, 4), 0u);
-  ASSERT_EQ(a.on_detach(1, icb, 1), 0u);
+  ASSERT_EQ(a.on_detach(1, icb), 0u);
 }
 
 TEST(AuditShard, CleanShardedLifecycleRecordsNoViolations) {
@@ -333,54 +336,6 @@ TEST(AuditShard, CleanShardedSweepsAreSilentOnBothEngines) {
   }
 }
 
-// ------------------------------------------- batched-ENTER conservation --
-
-TEST(AuditBatch, CoalescedIncrementMustMatchTheBatchSize) {
-  // The one new law of the batched path: the single FetchAdd on
-  // `outstanding` must equal the number of instances the flush publishes.
-  // A forged under-increment (the classic lost-update shape) trips it.
-  Auditor a;
-  EXPECT_EQ(a.on_enter_batch(0, 4, 4), 0u);
-  EXPECT_GE(a.on_enter_batch(0, 4, 3), 1u);
-  EXPECT_TRUE(has_rule(a, "batch-increment-mismatch"));
-  EXPECT_GE(a.on_enter_batch(1, 2, 5), 1u);
-}
-
-TEST(AuditBatch, EmptyBatchFlushIsViolation) {
-  Auditor a;
-  EXPECT_GE(a.on_enter_batch(0, 0, 0), 1u);
-  EXPECT_TRUE(has_rule(a, "batch-empty"));
-}
-
-TEST(AuditBatch, BatchAfterTerminationIsViolation) {
-  Auditor a;
-  a.on_terminate(1);
-  EXPECT_GE(a.on_enter_batch(0, 3, 3), 1u);
-  EXPECT_TRUE(has_rule(a, "batch-after-termination"));
-}
-
-TEST(AuditBatch, PreparedBarCounterMustStillBeReclaimed) {
-  // prepare() pre-creates the node without arriving at it; the shadow
-  // balance treats that exactly like a first-arrival creation, so a
-  // prepared counter nobody ever trips is a leak at quiescence.
-  Auditor a;
-  EXPECT_EQ(a.on_bar_prepare(0, 7, /*created=*/true), 0u);
-  EXPECT_GE(a.on_quiescence(true, 0, 0), 1u);
-  EXPECT_TRUE(has_rule(a, "bar-count-leak"));
-}
-
-TEST(AuditBatch, PrepareThenArrivalsBalanceOut) {
-  // The clean batched shape: one prepare (created), then the arrivals find
-  // the node (created=false) and the trip reclaims it.
-  Auditor a;
-  EXPECT_EQ(a.on_bar_prepare(0, 7, /*created=*/true), 0u);
-  EXPECT_EQ(a.on_bar_prepare(0, 7, /*created=*/false), 0u);  // idempotent
-  EXPECT_EQ(a.on_bar_count(1, 7, false, 1, 2, false), 0u);
-  EXPECT_EQ(a.on_bar_count(2, 7, false, 2, 2, true), 0u);
-  EXPECT_EQ(a.on_quiescence(true, 0, 0), 0u);
-  EXPECT_EQ(a.violation_count(), 0u) << a.report();
-}
-
 TEST(Auditor, ViolationStorageCapsButCountKeepsRunning) {
   Auditor a;
   int icb = 0;
@@ -412,6 +367,63 @@ TEST(Auditor, ReportCarriesIdentityAndScheduleDecisions) {
 }
 
 #if SELFSCHED_AUDIT
+
+// ------------------------------------------------- hook ordering (detach) --
+
+/// RContext that runs `on_pcount_decrement` right after a {pcount ;
+/// Decrement} on `pcount` lands, before control returns to the scheduler:
+/// the window in which a peer can release and re-acquire the ICB.
+struct DetachWindowCtx : exec::RContext {
+  using exec::RContext::RContext;
+
+  sync::SyncResult sync_op(Sync& v, sync::Test t, i64 test_value, sync::Op op,
+                           i64 operand = 0) {
+    const sync::SyncResult r =
+        exec::RContext::sync_op(v, t, test_value, op, operand);
+    if (&v == pcount && op == sync::Op::kDecrement && on_pcount_decrement) {
+      std::exchange(on_pcount_decrement, nullptr)();
+    }
+    return r;
+  }
+
+  const Sync* pcount = nullptr;
+  std::function<void()> on_pcount_decrement;
+};
+
+TEST(AuditHookOrder, DetachBalanceLandsOnTheGenerationItLeft) {
+  // Worker 0 attaches, then yields through the detach path.  Right after
+  // its {pcount ; Decrement} lands, worker 1 finishes the instance,
+  // releases the ICB and re-acquires the block as a new generation.  The
+  // detach's balance hook must reach the generation the worker left; one
+  // delivered after the decrement is charged to the new generation and
+  // reads as "pcount-not-drained" at quiescence.
+  const program::NestedLoopProgram prog = workloads::flat_doall(4, nullptr);
+  Auditor a;
+  runtime::SchedState<DetachWindowCtx> st(prog.tables(), SchedOptions{});
+  DetachWindowCtx ctx(0, 2);
+  ctx.set_audit_sink(&a);
+  runtime::seed_program(ctx, st);
+  runtime::Icb<DetachWindowCtx>* ip = st.pool.list_head(st.list_of(0));
+  ASSERT_NE(ip, nullptr);
+  ctx.pcount = &ip->pcount;
+  ctx.on_pcount_decrement = [&] {
+    a.on_unlink(1, ip);
+    a.on_complete(1, ip, 0, ip->bound);
+    a.on_release(1, ip);
+    a.on_acquire(1, ip);
+  };
+  int polls = 0;
+  EXPECT_EQ(runtime::worker_session(ctx, st, [&] { return polls++ > 0; }),
+            runtime::SessionExit::kYield);
+  EXPECT_EQ(ctx.on_pcount_decrement, nullptr) << "the detach never ran";
+  // The new generation runs a clean lifecycle of its own.
+  a.on_publish(1, ip, 0, 0, ip->bound, 0);
+  a.on_unlink(1, ip);
+  a.on_complete(1, ip, 0, ip->bound);
+  a.on_release(1, ip);
+  EXPECT_EQ(a.on_quiescence(true, 0, 0), 0u) << a.report();
+  EXPECT_FALSE(has_rule(a, "pcount-not-drained")) << a.report();
+}
 
 // ------------------------------------------------ end-to-end, both engines --
 

@@ -46,8 +46,6 @@ TEST_P(RandomProgramVtime, MatchesSerialOracle) {
   runtime::SchedOptions opts;
   opts.strategy = strategy_for_seed(seed);
   opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
-  opts.enter_batch = seed % 2 == 0;
-  opts.icb_shards = 1 + static_cast<u32>(seed / 5 % 4);
   const u32 procs = 1 + static_cast<u32>(seed % 9);
   const auto r = runtime::run_vtime(par_prog, procs, opts);
 
@@ -79,8 +77,6 @@ TEST_P(RandomProgramThreads, MatchesSerialOracle) {
   runtime::SchedOptions opts;
   opts.strategy = strategy_for_seed(seed + 1);
   opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
-  opts.enter_batch = seed % 2 == 0;
-  opts.icb_shards = 1 + static_cast<u32>(seed / 5 % 4);
   const u32 procs = 1 + static_cast<u32>(seed % 4);
   runtime::run_threads(par_prog, procs, opts);
 
@@ -102,8 +98,6 @@ TEST_P(RandomProgramDeterminism, VtimeRunsAreBitIdentical) {
     runtime::SchedOptions opts;
     opts.strategy = strategy_for_seed(seed);
     opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
-  opts.enter_batch = seed % 2 == 0;
-  opts.icb_shards = 1 + static_cast<u32>(seed / 5 % 4);
     return runtime::run_vtime(prog, 5, opts);
   };
   const auto a = run_once();

@@ -54,7 +54,7 @@ program::NestedLoopProgram wide_program(u32 loops, i64 width,
                                         const program::BodyFactory& bodies) {
   program::NodeSeq inner;
   for (u32 l = 0; l < loops; ++l) {
-    const std::string name = "w" + std::to_string(l);
+    const std::string name = std::string("w").append(std::to_string(l));
     inner.push_back(program::doall(
         name, 2, bodies ? bodies(name) : program::BodyFn{},
         [](const IndexVec&, i64) -> Cycles { return 3; }));

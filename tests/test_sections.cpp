@@ -70,7 +70,7 @@ TEST(Sections, JoinBeforeSuccessor) {
   std::vector<NodeSeq> branches;
   for (int b = 0; b < 3; ++b) {
     branches.push_back(seq(doall(
-        "b" + std::to_string(b), 4,
+        std::string("b").append(std::to_string(b)), 4,
         [&](ProcId, const IndexVec&, i64 j) {
           if (j == 4) branches_done.fetch_add(1);
         },

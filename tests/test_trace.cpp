@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -277,11 +278,64 @@ TEST(Counters, MergeAddsEveryField) {
   });
 }
 
+/// Number of counters, from the field list every exporter iterates.
+std::size_t counter_field_count() {
+  std::size_t n = 0;
+  trace::Counters::for_each_field(
+      [&](const char*, u64 trace::Counters::*) { ++n; });
+  return n;
+}
+
 TEST(Counters, FieldNamesAreUnique) {
   std::set<std::string> names;
   trace::Counters::for_each_field(
       [&](const char* name, u64 trace::Counters::*) { names.insert(name); });
-  EXPECT_EQ(names.size(), 31u);
+  EXPECT_EQ(names.size(), counter_field_count());
+}
+
+/// First-column names of the counter table in docs/observability.md: the
+/// rows under the "| counter | meaning |" header, up to the first line that
+/// is not a table row.  A row whose first cell holds no backticked name is
+/// returned whole, so it fails the comparison below instead of vanishing.
+std::set<std::string> documented_counters() {
+  std::ifstream in(std::string(SELFSCHED_DOCS_DIR) + "/observability.md");
+  std::set<std::string> names;
+  std::string line;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    if (!in_table) {
+      in_table = line.rfind("| counter |", 0) == 0;
+      continue;
+    }
+    if (line.rfind('|', 0) != 0) break;
+    if (line.rfind("|---", 0) == 0) continue;
+    const std::size_t cell_end = line.find('|', 1);
+    const std::size_t open = line.find('`');
+    const std::size_t close = line.find('`', open + 1);
+    if (open < cell_end && close < cell_end) {
+      names.insert(line.substr(open + 1, close - open - 1));
+    } else {
+      names.insert(line);
+    }
+  }
+  return names;
+}
+
+TEST(Counters, ObservabilityDocTableMatchesTheFields) {
+  std::set<std::string> fields;
+  trace::Counters::for_each_field(
+      [&](const char* name, u64 trace::Counters::*) { fields.insert(name); });
+  const std::set<std::string> documented = documented_counters();
+  ASSERT_FALSE(documented.empty())
+      << "no counter table in docs/observability.md";
+  for (const std::string& f : fields) {
+    EXPECT_EQ(documented.count(f), 1u)
+        << "counter " << f << " has no row in docs/observability.md";
+  }
+  for (const std::string& d : documented) {
+    EXPECT_EQ(fields.count(d), 1u) << "docs/observability.md row '" << d
+                                   << "' is not a Counters field";
+  }
 }
 
 TEST(Recorder, FoldsCountersAcrossWorkerSlots) {
@@ -518,7 +572,7 @@ TEST(TraceExport, CountersReportIsOneLinePerField) {
     if (line == "dispatches=42") saw_dispatches = true;
     EXPECT_NE(line.find('='), std::string::npos);
   }
-  EXPECT_EQ(lines, 31u);
+  EXPECT_EQ(lines, counter_field_count());
   EXPECT_TRUE(saw_dispatches);
 }
 
@@ -542,7 +596,7 @@ TEST(TraceExport, JsonReportParsesAndCarriesTheMetrics) {
   EXPECT_EQ(root.find("makespan")->num, static_cast<double>(r.makespan));
   const JValue* counters = root.find("counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->obj.size(), 31u);
+  EXPECT_EQ(counters->obj.size(), counter_field_count());
   EXPECT_EQ(root.find("ops")->find("dispatches")->num,
             static_cast<double>(r.total.dispatches));
 }

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark regression gate.
 
-Runs the SEARCH-scalability bench, the E16 adaptive-strategy bench, the
-E17 sharded-dispatch scaling bench, and the E18 batched-ENTER bench
-(virtual-time: deterministic, exact, host-independent) plus the
-real-hardware overhead microbench (informational only: wall-clock,
-noisy), and compares the gated metrics against the committed baselines
-(BENCH_search.json, BENCH_adaptive.json, BENCH_shard.json,
-BENCH_enter.json).  bench_adaptive, bench_shard_scale and
-bench_enter_batch additionally enforce their own acceptance thresholds;
-a violation fails the gate even when every baseline delta is within
-tolerance.
+Runs the SEARCH-scalability bench, the E16 adaptive-strategy bench and
+the E17 sharded-dispatch scaling bench (virtual-time: deterministic,
+exact, host-independent) plus the real-hardware overhead microbench
+(informational only: wall-clock, noisy), and compares the gated metrics
+against the committed baselines (BENCH_search.json, BENCH_adaptive.json,
+BENCH_shard.json).  bench_adaptive and bench_shard_scale additionally
+enforce their own acceptance thresholds; a violation fails the gate even
+when every baseline delta is within tolerance.
 
   tools/bench_gate.py                         # run, write, compare
   tools/bench_gate.py --update-baseline       # refresh the baseline
@@ -72,29 +70,6 @@ def run_shard_bench(build_dir, tmp_path):
     short-instance churn sweep, G=1 bit-equal to the flat path) and exits
     nonzero on violation — surface that as a gate failure too."""
     exe = os.path.join(build_dir, "bench", "bench_shard_scale")
-    if not os.path.exists(exe):
-        sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
-    proc = subprocess.run([exe, "--json", tmp_path],
-                          capture_output=True, text=True)
-    accept_ok = proc.returncode == 0
-    if not accept_ok:
-        for line in proc.stdout.splitlines():
-            if "ACCEPTANCE FAIL" in line:
-                print(f"bench_gate: {line}")
-    with open(tmp_path) as f:
-        data = json.load(f)
-    os.unlink(tmp_path)
-    return data["metrics"], accept_ok
-
-
-def run_enter_bench(build_dir, tmp_path):
-    """E18 batched-ENTER + sharded-arena sweep (bench_enter_batch): vtime,
-    deterministic, gated against BENCH_enter.json.  The bench enforces its
-    own acceptance thresholds (batched+G8 >= 1.25x over the seed path at
-    P=8 m=256 on the wave-churn sweep, enter_batch=false bit-equal to the
-    default path) and exits nonzero on violation — surface that as a gate
-    failure too."""
-    exe = os.path.join(build_dir, "bench", "bench_enter_batch")
     if not os.path.exists(exe):
         sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
     proc = subprocess.run([exe, "--json", tmp_path],
@@ -287,9 +262,6 @@ def main():
                     help="committed baseline for the E16 adaptive bench")
     ap.add_argument("--shard-baseline", default="BENCH_shard.json",
                     help="committed baseline for the E17 shard bench")
-    ap.add_argument("--enter-baseline", default="BENCH_enter.json",
-                    help="committed baseline for the E18 batched-ENTER "
-                         "bench")
     ap.add_argument("--out", default=None,
                     help="write the fresh results here "
                          "(default: BENCH_search.new.json)")
@@ -317,9 +289,6 @@ def main():
     sh_metrics, sh_accept_ok = run_shard_bench(
         args.build_dir,
         os.path.join(args.build_dir, "bench_shard_tmp.json"))
-    en_metrics, en_accept_ok = run_enter_bench(
-        args.build_dir,
-        os.path.join(args.build_dir, "bench_enter_tmp.json"))
     if not args.skip_gbench:
         metrics += run_overhead_bench(args.build_dir)
         metrics += run_fault_overhead_bench(args.build_dir)
@@ -329,19 +298,17 @@ def main():
 
     current = {"schema": SCHEMA, "max_procs": args.max_procs,
                "metrics": metrics}
-    # The adaptive, shard and enter benches always sweep at P=8,
-    # independent of --max-procs.
+    # The adaptive and shard benches always sweep at P=8, independent of
+    # --max-procs.
     ad_current = {"schema": SCHEMA, "max_procs": 8, "metrics": ad_metrics}
     sh_current = {"schema": SCHEMA, "max_procs": 8, "metrics": sh_metrics}
-    en_current = {"schema": SCHEMA, "max_procs": 8, "metrics": en_metrics}
 
     if args.update_baseline:
         # The committed baselines must be machine-independent: keep only
         # the deterministic (vtime) metrics, never wall-clock ones.
         for path, cur in ((args.baseline, current),
                           (args.adaptive_baseline, ad_current),
-                          (args.shard_baseline, sh_current),
-                          (args.enter_baseline, en_current)):
+                          (args.shard_baseline, sh_current)):
             kept = [m for m in cur["metrics"] if m["deterministic"]]
             with open(path, "w") as f:
                 json.dump({"schema": SCHEMA,
@@ -351,7 +318,7 @@ def main():
             gated = sum(1 for m in kept if m["gate"])
             print(f"bench_gate: wrote {path} "
                   f"({len(kept)} metrics, {gated} gated)")
-        return 0 if ad_accept_ok and sh_accept_ok and en_accept_ok else 1
+        return 0 if ad_accept_ok and sh_accept_ok else 1
 
     out = args.out or "BENCH_search.new.json"
     with open(out, "w") as f:
@@ -362,8 +329,7 @@ def main():
     ok = True
     for path, cur, tag in ((args.baseline, current, "search"),
                            (args.adaptive_baseline, ad_current, "adaptive"),
-                           (args.shard_baseline, sh_current, "shard"),
-                           (args.enter_baseline, en_current, "enter")):
+                           (args.shard_baseline, sh_current, "shard")):
         if not os.path.exists(path):
             sys.exit(f"bench_gate: baseline {path} not found — run "
                      "with --update-baseline to create it")
@@ -384,10 +350,6 @@ def main():
         ok = False
     if not sh_accept_ok:
         print("bench_gate: FAIL — bench_shard_scale acceptance thresholds "
-              "violated (see ACCEPTANCE FAIL lines above)")
-        ok = False
-    if not en_accept_ok:
-        print("bench_gate: FAIL — bench_enter_batch acceptance thresholds "
               "violated (see ACCEPTANCE FAIL lines above)")
         ok = False
     return 0 if ok else 1

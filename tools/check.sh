@@ -3,7 +3,9 @@
 # ThreadSanitizer build of the threaded-scheduler tests to catch data races
 # the plain build can't see.
 #
-#   tools/check.sh                 # tier-1 + TSan
+#   tools/check.sh                 # tier-1 + TSan (threaded scheduler
+#                                  # tests and the ICB-pool/bound units of
+#                                  # test_hotpath)
 #   tools/check.sh --fast          # tier-1 only
 #   tools/check.sh --explore       # tier-1 + TSan + schedule-sweep fuzz smoke
 #   tools/check.sh --audit         # unit+explore tiers with the invariant
@@ -30,14 +32,6 @@
 #                                  # TSan (threads-engine shard counters),
 #                                  # then audited under ASan, then the E17
 #                                  # acceptance thresholds (bench_shard_scale)
-#   tools/check.sh --hotpath       # instance-churn hot-path suite (ISSUE
-#                                  # 9): the batched-vs-unbatched
-#                                  # differential matrix, the sharded-arena
-#                                  # units and the batch auditor rules under
-#                                  # TSan (batch flushes racing searchers,
-#                                  # allocated() sampling), then audited
-#                                  # under ASan, then the E18 acceptance
-#                                  # thresholds (bench_enter_batch)
 #   tools/check.sh --serve         # resident-service suite: test_serve +
 #                                  # the full serve-stress run (16
 #                                  # submitters, 224 audited programs, P=8,
@@ -73,7 +67,6 @@ SERVE=0
 RESILIENCE=0
 ADAPTIVE=0
 SHARD=0
-HOTPATH=0
 LABEL=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -85,11 +78,10 @@ while [[ $# -gt 0 ]]; do
     --resilience) RESILIENCE=1; shift ;;
     --adaptive) ADAPTIVE=1; shift ;;
     --shard) SHARD=1; shift ;;
-    --hotpath) HOTPATH=1; shift ;;
     --label) LABEL="${2:?--label needs an argument}"; shift 2 ;;
     *) echo "usage: tools/check.sh [--fast] [--explore] [--audit]" \
             "[--faults] [--serve] [--resilience] [--adaptive] [--shard]" \
-            "[--hotpath] [--label TIER]" >&2
+            "[--label TIER]" >&2
        exit 2 ;;
   esac
 done
@@ -114,29 +106,6 @@ ADAPTIVE_TESTS='Strategy|Adaptive|PortfolioSweep|CompletionModel|FaultAdaptive'
 # replay/counter/topology suites (Shard* in test_shard), the auditor rules
 # (AuditShard) and the sharded cancellation/deadline tests (FaultShard).
 SHARD_TESTS='Shard'
-
-# The hot-path filter: the batched-ENTER differential/replay/counter
-# suites and sharded-arena units (Hotpath*/EnterBatch* in test_hotpath)
-# plus the batch conservation rules in the auditor (AuditBatch).
-HOTPATH_TESTS='Hotpath|EnterBatch|AuditBatch'
-
-if [[ "$HOTPATH" == 1 ]]; then
-  echo "== hotpath: TSan build, instance-churn suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_hotpath \
-      test_runtime_units test_audit
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R "$HOTPATH_TESTS")
-  echo "== hotpath: ASan build, audited instance-churn suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_hotpath \
-      test_runtime_units test_audit bench_enter_batch
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$HOTPATH_TESTS")
-  echo "== hotpath: E18 acceptance thresholds =="
-  ./build-asan/bench/bench_enter_batch > /dev/null
-  echo "== OK (hotpath) =="
-  exit 0
-fi
 
 if [[ "$SHARD" == 1 ]]; then
   echo "== shard: TSan build, sharded-dispatch suite =="
@@ -272,9 +241,11 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== TSan: threaded scheduler tests =="
+echo "== TSan: threaded scheduler tests + hot-path units =="
 cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads
+cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads \
+    test_hotpath
 ./build-tsan/tests/test_scheduler_threads
+./build-tsan/tests/test_hotpath
 
 echo "== OK =="

@@ -56,8 +56,6 @@ struct FuzzCase {
   u32 depth = 4;
   u32 pool_shards = 1;
   u32 index_shards = 1;
-  bool enter_batch = false;
-  u32 icb_shards = 1;
   bool central_queue = false;
   u32 strategy_kind = 0;  // runtime::Strategy::Kind as u32
   i64 strategy_chunk = 1;
@@ -75,8 +73,6 @@ FuzzCase case_for_seed(u64 seed, u32 max_procs, u32 depth) {
   c.strategy_aux = s.wf_weights != 0 ? s.wf_weights : s.rs_seed;
   c.pool_shards = 1 + static_cast<u32>(seed % 3);
   c.index_shards = 1 + static_cast<u32>(seed % 4);
-  c.enter_batch = seed % 2 == 1;
-  c.icb_shards = 1 + static_cast<u32>(seed / 5 % 4);
   c.central_queue = seed % 7 == 0;
   c.procs = 1 + static_cast<u32>(seed % max_procs);
   return c;
@@ -94,8 +90,6 @@ runtime::SchedOptions options_for(const FuzzCase& c) {
   }
   opts.pool_shards = c.pool_shards;
   opts.index_shards = c.index_shards;
-  opts.enter_batch = c.enter_batch;
-  opts.icb_shards = c.icb_shards;
   opts.central_queue = c.central_queue;
   return opts;
 }
@@ -124,8 +118,6 @@ vtime::ReproFile repro_for(const FuzzCase& c,
   put("depth", c.depth);
   put("pool_shards", c.pool_shards);
   put("index_shards", c.index_shards);
-  put("enter_batch", c.enter_batch ? 1 : 0);
-  put("icb_shards", c.icb_shards);
   put("central_queue", c.central_queue ? 1 : 0);
   put("strategy_kind", c.strategy_kind);
   put("strategy_chunk", static_cast<u64>(c.strategy_chunk));
@@ -148,10 +140,6 @@ bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c) {
       c.pool_shards = static_cast<u32>(parse_u64(v));
     } else if (k == "index_shards") {
       c.index_shards = static_cast<u32>(parse_u64(v));
-    } else if (k == "enter_batch") {
-      c.enter_batch = parse_u64(v) != 0;
-    } else if (k == "icb_shards") {
-      c.icb_shards = static_cast<u32>(parse_u64(v));
     } else if (k == "central_queue") {
       c.central_queue = parse_u64(v) != 0;
     } else if (k == "strategy_kind") {

@@ -48,12 +48,6 @@ void usage(const char* argv0, std::FILE* out) {
       "  --index-shards G         per-instance index shards with home-first\n"
       "                           stealing (default 1 = the flat paper\n"
       "                           path; docs/sharding.md)\n"
-      "  --enter-batch            batch sibling activations: one pool pass,\n"
-      "                           one coalesced outstanding increment, one\n"
-      "                           lock + SW publish per touched list\n"
-      "                           (docs/hotpath.md)\n"
-      "  --icb-shards G           ICB-pool freelist shards with home-first\n"
-      "                           stealing (default 1 = single freelist)\n"
       "\n"
       "program:\n"
       "  --param NAME=VALUE       bind a named constant (repeatable)\n"
@@ -225,10 +219,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--index-shards") {
       opts.index_shards =
           static_cast<u32>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--enter-batch") {
-      opts.enter_batch = true;
-    } else if (arg == "--icb-shards") {
-      opts.icb_shards = static_cast<u32>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--param") {
       const std::string kv = next();
       const auto eq = kv.find('=');
