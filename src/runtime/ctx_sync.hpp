@@ -130,13 +130,7 @@ class CtxControlWord {
   /// (as the audit hooks do) makes the peek authoritative.
   bool peek(u32 i) const {
     SS_DCHECK(i < num_bits_);
-    auto& s = words_[i >> 6].v;
-    u64 bits;
-    if constexpr (requires { s.load(); }) {
-      bits = static_cast<u64>(s.load());
-    } else {
-      bits = static_cast<u64>(s.v);
-    }
+    const u64 bits = static_cast<u64>(words_[i >> 6].v.load());
     return (bits & bit_mask(i)) != 0;
   }
 

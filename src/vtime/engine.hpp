@@ -30,6 +30,7 @@
 // a controller the original greedy head-grant path runs unchanged.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -60,6 +61,15 @@ struct VSync {
   /// Plain initialization of a variable that is not yet shared (mirrors
   /// sync::SyncVar::reset); ordering comes from the publishing sync_op.
   void reset(i64 x) { v = x; }
+
+  /// Host-side read (audit peeks): no sync_op, no virtual-time charge.  A
+  /// relaxed atomic load, because one SW word holds the bits of up to 64
+  /// lists and another carrier may be writing a neighbouring bit through
+  /// the engine meanwhile; Engine::sync_execute stores atomically to match.
+  i64 load() const {
+    return std::atomic_ref<i64>(const_cast<i64&>(v)).load(
+        std::memory_order_relaxed);
+  }
 };
 
 /// One engine-serialized event, for determinism tests and debugging.

@@ -3,6 +3,8 @@
 // a parsed program must schedule identically to the hand-built AST.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "helpers.hpp"
 #include "lang/expr.hpp"
 #include "lang/lexer.hpp"
@@ -217,6 +219,11 @@ struct BadCase {
   const char* src;
 };
 
+// Prints the case label.  GoogleTest's default printer dumps the struct's
+// bytes, pointers and padding included, and CTest names each case after
+// that dump, so without this the case names changed from build to build.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
+
 class ParserErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ParserErrors, Throws) {
@@ -242,8 +249,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"trailing", "LOOP x j = 1, 2\n )"},
         BadCase{"missing_then", "IF (1) LOOP x j = 1, 1\nEND"},
         BadCase{"leaf_var_outside_cost",
-                "LOOP a j = 1, 4\nLOOP b t = 1, j\n"}),
-    [](const auto& param_info) { return std::string(param_info.param.label); });
+                "LOOP a j = 1, 4\nLOOP b t = 1, j\n"}));
 
 // ------------------------------------------------------- pretty-printer --
 

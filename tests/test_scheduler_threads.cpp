@@ -3,6 +3,8 @@
 // right, not just the iteration count).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "helpers.hpp"
 #include "program/fig1.hpp"
 #include "baselines/sequential.hpp"
@@ -21,6 +23,11 @@ struct ThreadCase {
   runtime::Strategy strategy;
   const char* label;
 };
+
+// Prints the case label.  GoogleTest's default printer dumps the struct's
+// bytes, pointers and padding included, and CTest names each case after
+// that dump, so without this the case names changed from build to build.
+void PrintTo(const ThreadCase& c, std::ostream* os) { *os << c.label; }
 
 class ThreadsFig1 : public ::testing::TestWithParam<ThreadCase> {};
 
@@ -52,8 +59,7 @@ INSTANTIATE_TEST_SUITE_P(
         ThreadCase{2, runtime::Strategy::self(), "p2_self"},
         ThreadCase{4, runtime::Strategy::gss(), "p4_gss"},
         ThreadCase{3, runtime::Strategy::chunked(4), "p3_chunk4"},
-        ThreadCase{2, runtime::Strategy::trapezoid(), "p2_tss"}),
-    [](const auto& param_info) { return param_info.param.label; });
+        ThreadCase{2, runtime::Strategy::trapezoid(), "p2_tss"}));
 
 TEST(ThreadsKernels, DaxpyComputesCorrectly) {
   workloads::DaxpyKernel kernel(20000);

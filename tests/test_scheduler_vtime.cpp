@@ -4,6 +4,8 @@
 // counts, strategies, and structural edge cases.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "helpers.hpp"
 #include "program/fig1.hpp"
 #include "runtime/scheduler.hpp"
@@ -56,6 +58,11 @@ struct StrategyCase {
   const char* label;
 };
 
+// Prints the case label.  GoogleTest's default printer dumps the struct's
+// bytes, pointers and padding included, and CTest names each case after
+// that dump, so without this the case names changed from build to build.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.label; }
+
 class Fig1AcrossStrategies
     : public ::testing::TestWithParam<StrategyCase> {};
 
@@ -72,8 +79,7 @@ INSTANTIATE_TEST_SUITE_P(
                       StrategyCase{runtime::Strategy::chunked(64), "chunk64"},
                       StrategyCase{runtime::Strategy::gss(), "gss"},
                       StrategyCase{runtime::Strategy::factoring(), "fact"},
-                      StrategyCase{runtime::Strategy::trapezoid(), "tss"}),
-    [](const auto& param_info) { return param_info.param.label; });
+                      StrategyCase{runtime::Strategy::trapezoid(), "tss"}));
 
 TEST(VtimeScheduler, DeterministicMakespanAndStats) {
   auto run_once = [] {

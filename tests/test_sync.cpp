@@ -3,6 +3,7 @@
 // detection, the paper's lock and semaphore, backoff, and the barrier.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -61,6 +62,20 @@ struct TryOpCase {
   i64 want_fetched;
   i64 want_after;
 };
+
+// Names a case after its fields, e.g. LT100_FetchAdd3_on42.  GoogleTest's
+// default printer dumps the struct's bytes, padding included, and CTest
+// names each case after that dump, so without this the case names changed
+// from build to build.
+void PrintTo(const TryOpCase& c, std::ostream* os) {
+  static constexpr const char* kTests[] = {"None", "GT", "GE", "LT",
+                                           "LE",   "EQ", "NE"};
+  static constexpr const char* kOps[] = {"Fetch",     "Store",    "Increment",
+                                         "Decrement", "FetchAdd", "FetchOr",
+                                         "FetchAnd"};
+  *os << kTests[static_cast<u32>(c.test)] << c.test_value << '_'
+      << kOps[static_cast<u32>(c.op)] << c.operand << "_on" << c.initial;
+}
 
 class SyncVarTruthTable : public ::testing::TestWithParam<TryOpCase> {};
 
