@@ -48,6 +48,32 @@ void ctx_unlock(C& ctx, typename C::Sync& l) {
   ctx.sync_op(l, Test::kNone, 0, Op::kIncrement);
 }
 
+/// The paper's bounded grab {index <= b ; Fetch&Add(k)} (§III-B "start:"):
+/// true iff the fetched value is a legal iteration, which then begins a
+/// block of k iterations owned by this caller alone.
+///
+/// vtime issues exactly that tested instruction, so the engine serializes,
+/// charges and traces it as one (kLE, Fetch&Add) event.  Real hardware has
+/// no tested fetch&add, and emulating one costs a load-then-CAS retry loop
+/// whose retries grow with contention.  There the claim is one
+/// unconditional fetch_add (`lock xadd` on x86) that succeeds iff the
+/// fetched value is <= b.  A failed claim still moves the index past b;
+/// that overshoot is harmless because every reader compares the index
+/// against its bound (see Icb::index) and a failure is still counted in
+/// failed_sync_ops.
+template <exec::ExecutionContext C>
+sync::SyncResult ctx_claim(C& ctx, typename C::Sync& index, i64 b, i64 k) {
+  if constexpr (C::kIsSimulated) {
+    return ctx.sync_op(index, Test::kLE, b, Op::kFetchAdd, k);
+  } else {
+    const i64 fetched =
+        ctx.sync_op(index, Test::kNone, 0, Op::kFetchAdd, k).fetched;
+    if (fetched <= b) return {true, fetched};
+    ++ctx.stats().failed_sync_ops;
+    return {false, fetched};
+  }
+}
+
 /// Charge simulated bookkeeping cycles; a no-op on real hardware, where the
 /// bookkeeping itself takes the time.
 template <exec::ExecutionContext C>

@@ -39,10 +39,18 @@
 // atomically; the paper's equality test turns test-and-op into compare-and-
 // swap: {index == seen ; Fetch&Add(chunk)} retried on interference.
 //
+// Every other strategy sizes its chunk first and then grabs it with
+// ctx_claim (runtime/ctx_sync.hpp), the paper's bounded {index <= b ;
+// Fetch&Add(k)}.  vtime runs that as the tested instruction; real cores run
+// it as one unconditional fetch&add that succeeds iff the fetched value is
+// <= b, so a failed claim leaves index somewhere past b+1.  That overshoot
+// is invisible: index only grows once published (the poison store writes
+// b+1), and every reader only compares it against its bound (Icb::index).
+//
 // Cancellation containment: every strategy gates its grab on {index <= b}
-// (directly, or via the fetch-then-CAS pair whose CAS re-checks the fetched
-// value).  Poisoning index to b+1 therefore stops all of them — see
-// poison_pool in high_level.hpp.
+// (directly, via ctx_claim's fetched value, or via the fetch-then-CAS pair
+// whose CAS re-checks the fetched value).  Poisoning index to b+1 therefore
+// stops all of them — see poison_pool in high_level.hpp.
 #pragma once
 
 #include <algorithm>
@@ -351,8 +359,7 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
     case Strategy::Kind::kSelf:
     case Strategy::Kind::kChunk: {
       const i64 k = (s.kind == Strategy::Kind::kSelf) ? 1 : s.chunk;
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, k);
+      const auto r = ctx_claim(ctx, index, b, k);
       if (!r.success) return {};
       return finish(r.fetched, k);
     }
@@ -398,8 +405,7 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
       if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
       const i64 want =
           std::max(s.tss_last, first_chunk - seq.fetched * delta);
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, want);
+      const auto r = ctx_claim(ctx, index, b, want);
       if (!r.success) return {};
       return finish(r.fetched, want);
     }
@@ -419,8 +425,7 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
         const i64 p = std::max<i64>(1, static_cast<i64>(procs));
         want = std::max(s.chunk, (want * p * w + wsum - 1) / wsum);
       }
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, want);
+      const auto r = ctx_claim(ctx, index, b, want);
       if (!r.success) return {};
       return finish(r.fetched, want);
     }
@@ -431,8 +436,7 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
       if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
       const i64 want =
           tss2_chunk_at(span, procs, seq.fetched, s.tss_first, s.tss_last);
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, want);
+      const auto r = ctx_claim(ctx, index, b, want);
       if (!r.success) return {};
       return finish(r.fetched, want);
     }
@@ -478,8 +482,7 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
                      .fetched);
         }
       }
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, k);
+      const auto r = ctx_claim(ctx, index, b, k);
       if (!r.success) return {};
       return finish(r.fetched, k);
     }

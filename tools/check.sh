@@ -4,8 +4,9 @@
 # the plain build can't see.
 #
 #   tools/check.sh                 # tier-1 + TSan (threaded scheduler
-#                                  # tests and the ICB-pool/bound units of
-#                                  # test_hotpath)
+#                                  # tests, the ICB-pool/bound units of
+#                                  # test_hotpath and the contended
+#                                  # bounded-grab tests of test_claim)
 #   tools/check.sh --fast          # tier-1 only
 #   tools/check.sh --explore       # tier-1 + TSan + schedule-sweep fuzz smoke
 #   tools/check.sh --audit         # unit+explore tiers with the invariant
@@ -241,11 +242,12 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== TSan: threaded scheduler tests + hot-path units =="
+echo "== TSan: threaded scheduler tests + hot-path units + claim =="
 cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads \
-    test_hotpath
+    test_hotpath test_claim
 ./build-tsan/tests/test_scheduler_threads
 ./build-tsan/tests/test_hotpath
+./build-tsan/tests/test_claim
 
 echo "== OK =="
