@@ -33,11 +33,15 @@ class RContext {
   /// @param measure_phases  when false, set_phase() is a plain enum swap and
   ///   no clock is read — for throughput benches where the ~20 ns clock read
   ///   per transition would perturb the measured overheads.
-  RContext(ProcId proc, u32 num_procs, bool measure_phases = true)
+  /// @param start  when the phase clock starts (kOther runs from then); a
+  ///   team passes its start line so phases and makespan share one origin.
+  RContext(ProcId proc, u32 num_procs, bool measure_phases = true,
+           std::chrono::steady_clock::time_point start =
+               std::chrono::steady_clock::now())
       : proc_(proc),
         num_procs_(num_procs),
         measure_(measure_phases),
-        mark_(Clock::now()) {
+        mark_(start) {
     SS_CHECK(proc < num_procs);
   }
 

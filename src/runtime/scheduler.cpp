@@ -1,9 +1,9 @@
 #include "runtime/scheduler.hpp"
 
+#include <chrono>
 #include <utility>
 #include <vector>
 
-#include "common/stopwatch.hpp"
 #include "exec/real_context.hpp"
 #include "runtime/run_lifecycle.hpp"
 #include "runtime/worker.hpp"
@@ -56,27 +56,33 @@ RunResult run_threads(const program::NestedLoopProgram& prog, u32 procs,
 RunResult run_threads_on(exec::ThreadTeam& team,
                          const program::NestedLoopProgram& prog,
                          const SchedOptions& opts) {
+  using Clock = std::chrono::steady_clock;
   const u32 procs = team.procs();
   ProgramRun<exec::RContext> run(prog.tables(), opts, procs);
   sync::SpinBarrier start_line(procs);
-  Stopwatch watch;
+  Clock::time_point start;
 
   team.run([&](ProcId id) {
-    exec::RContext ctx(id, procs, opts.measure_phases);
+    // The makespan window and every worker's phase clock open together,
+    // when the last worker reaches the start line.  Spin while the team
+    // assembles lies outside the window; a worker that reaches its first
+    // phase late is charged kOther for the delay.
+    start_line.arrive_and_wait([&] { start = Clock::now(); });
+    exec::RContext ctx(id, procs, opts.measure_phases, start);
     ctx.set_trace_sink(&run.rec.sink(id), run.rec.epoch());
     ctx.set_audit_sink(run.auditing.sink);
     ctx.set_fault_plan(opts.fault_plan);
-    start_line.arrive_and_wait();
-    if (id == 0) {
-      watch.reset();  // time from the moment the full team is assembled
-      seed_program(ctx, run.st);
-    }
+    if (id == 0) seed_program(ctx, run.st);
     worker_loop(ctx, run.st);
     ctx.finish();
     run.stats[id] = ctx.stats();
   });
 
-  RunResult r = run.finish(procs, watch.elapsed_ns());
+  const Cycles makespan =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count();
+  RunResult r = run.finish(procs, makespan);
   maybe_throw_failure(opts, r);
   return r;
 }
