@@ -361,14 +361,23 @@ void worker_loop(C& ctx, SchedState<C>& st) {
 
 /// Seed the program's initial activation (the paper's instrumented prologue)
 /// and handle the degenerate all-constructs-skipped case.
+///
+/// The seeder runs while its peers already search, and ENTER counts each
+/// sibling instance into `outstanding` just before appending it.  So the
+/// seeder holds one unit of `outstanding` across the whole ENTER: without
+/// it, peers could finish sibling k's subtree, drive the count to 0 and
+/// declare the run done before sibling k+1 is appended.  Whoever drops the
+/// count to 0 terminates the run — here, when every activated instance
+/// already finished (or none was activated).
 template <exec::ExecutionContext C>
 void seed_program(C& ctx, SchedState<C>& st) {
   exec::PhaseScope<C> phase(ctx, exec::Phase::kExitEnter);
   IndexVec ivec;
   ivec.resize(st.prog->max_depth);
+  ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kIncrement);
   enter(ctx, st, st.prog->entry, 0, ivec);
-  if (ctx.sync_op(st.outstanding, Test::kEQ, 0, Op::kFetch).success) {
-    // Every construct was guarded off or zero-trip: nothing to run.
+  if (ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kDecrement).fetched ==
+      1) {
     ctx.sync_op(st.done, Test::kNone, 0, Op::kStore, 1);
     audit::on_terminate(ctx);
   }

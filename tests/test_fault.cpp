@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "baselines/sequential.hpp"
 #include "program/fig1.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/high_level.hpp"
@@ -328,6 +329,27 @@ TEST(FaultInject, LockDelayPerturbsDeterministically) {
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.engine_ops, b.engine_ops);
   EXPECT_EQ(a.counters.faults_injected, 1u);
+}
+
+TEST(FaultInject, SeederDelayedBetweenSiblingsDoesNotEndTheRunEarly) {
+  // Worker 0 seeds the program while its peers already search.  Delay it at
+  // a list lock inside the seed ENTER: the peers then finish the siblings
+  // appended so far.  They must not see `outstanding` reach 0 and end the
+  // run while the seeder still has siblings to append.
+  const auto prog = workloads::triangular(8, 100);
+  const u64 oracle = baselines::run_sequential(prog).iterations;
+  for (const u64 lock_seq : {2u, 4u}) {
+    FaultPlan plan;
+    plan.lock_delay(/*worker=*/0, lock_seq, /*cycles=*/200000);
+    SchedOptions opts;
+    opts.fault_plan = &plan;
+    opts.audit = true;
+    const RunResult r = runtime::run_vtime(prog, 4, opts);
+    EXPECT_EQ(plan.total_fired(), 1u) << "lock_seq=" << lock_seq;
+    EXPECT_FALSE(r.failure.has_value()) << "lock_seq=" << lock_seq;
+    EXPECT_EQ(r.total.iterations, oracle) << "lock_seq=" << lock_seq;
+    EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
+  }
 }
 #endif  // SELFSCHED_FAULT
 
