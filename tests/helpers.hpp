@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "baselines/sequential.hpp"
+#include "program/fig1.hpp"
 #include "program/tables.hpp"
 
 namespace selfsched::testing {
@@ -80,6 +81,25 @@ inline std::vector<IterationKey> normalized(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// The Fig. 1 shape of examples/programs/fig1.loop (COST 300 per
+/// iteration) at the given NI and NJ.
+inline program::Fig1Params fig1_loop_params(i64 ni, i64 nj) {
+  program::Fig1Params p;
+  p.ni = ni;
+  p.nj = nj;
+  p.nk = 3;
+  p.na = 16;
+  p.nb = 24;
+  p.nc = 16;
+  p.nd = 16;
+  p.ne = 24;
+  p.nf = 16;
+  p.ng = 16;
+  p.nh = 32;
+  p.body_cost = 300;
+  return p;
 }
 
 }  // namespace selfsched::testing
