@@ -139,11 +139,8 @@ int main(int argc, char** argv) {
         {"gss", runtime::Strategy::gss()},
         {"factoring", runtime::Strategy::factoring()},
         {"factoring2", runtime::Strategy::factoring2()},
-        {"wfactoring",
-         runtime::Strategy::weighted_factoring(0x0102040102040102ULL)},
         {"trapezoid", runtime::Strategy::trapezoid()},
         {"tss2", runtime::Strategy::trapezoid_tuned()},
-        {"randsteal", runtime::Strategy::random_steal(17)},
     };
 
     std::printf("\n--- workload: %s (b=%lld, P=%u) ---\n", w.name,

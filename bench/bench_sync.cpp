@@ -1,17 +1,19 @@
 // E9 — real-hardware throughput/latency of the §II-A synchronization
-// primitives: the test-and-op matrix on SyncVar, the paper's lock and
-// semaphore, the control word with leading-one-detection, and contended
-// variants (multi-threaded; on a single-core host the contended numbers
-// reflect time-sliced interleaving, still exercising the CAS retry paths).
+// primitives: the test-and-op matrix on SyncVar, the paper's lock
+// (ctx_lock) and the control word with leading-one-detection
+// (CtxControlWord) as the scheduler runs them over a real context, and
+// contended variants (multi-threaded; on a single-core host the contended
+// numbers reflect time-sliced interleaving, still exercising the CAS retry
+// paths).
 #include <benchmark/benchmark.h>
 
-#include "sync/control_word.hpp"
-#include "sync/semaphore.hpp"
-#include "sync/spin_lock.hpp"
+#include "exec/real_context.hpp"
+#include "runtime/ctx_sync.hpp"
 #include "sync/sync_var.hpp"
 
 using namespace selfsched;
 using namespace selfsched::sync;
+using exec::RContext;
 
 namespace {
 
@@ -67,49 +69,45 @@ void BM_SyncVar_ContendedFetchAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_SyncVar_ContendedFetchAdd)->Threads(1)->Threads(2)->Threads(4);
 
-void BM_SpinLock_UncontendedPair(benchmark::State& state) {
-  SpinLock lock;
+void BM_Lock_UncontendedPair(benchmark::State& state) {
+  RContext ctx(0, 1, /*measure_phases=*/false);
+  SyncVar lock(1);
   for (auto _ : state) {
-    lock.lock();
-    lock.unlock();
+    runtime::ctx_lock(ctx, lock);
+    runtime::ctx_unlock(ctx, lock);
   }
 }
-BENCHMARK(BM_SpinLock_UncontendedPair);
+BENCHMARK(BM_Lock_UncontendedPair);
 
-void BM_SpinLock_Contended(benchmark::State& state) {
-  static SpinLock lock;
+void BM_Lock_Contended(benchmark::State& state) {
+  static SyncVar lock(1);
+  RContext ctx(static_cast<ProcId>(state.thread_index()),
+               static_cast<u32>(state.threads()), /*measure_phases=*/false);
   for (auto _ : state) {
-    lock.lock();
+    runtime::ctx_lock(ctx, lock);
     benchmark::ClobberMemory();
-    lock.unlock();
+    runtime::ctx_unlock(ctx, lock);
   }
 }
-BENCHMARK(BM_SpinLock_Contended)->Threads(2)->Threads(4);
-
-void BM_Semaphore_PVPair(benchmark::State& state) {
-  Semaphore s(1);
-  for (auto _ : state) {
-    s.p();
-    s.v();
-  }
-}
-BENCHMARK(BM_Semaphore_PVPair);
+BENCHMARK(BM_Lock_Contended)->Threads(2)->Threads(4);
 
 void BM_ControlWord_LeadingOne(benchmark::State& state) {
   const u32 bits = static_cast<u32>(state.range(0));
-  ControlWord sw(bits);
-  sw.set(bits - 1);  // worst case: scan the whole word array
+  RContext ctx(0, 1, /*measure_phases=*/false);
+  runtime::CtxControlWord<RContext> sw(bits);
+  sw.set(ctx, bits - 1);  // worst case: the farthest set bit
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw.leading_one());
+    benchmark::DoNotOptimize(sw.leading_one(ctx));
   }
 }
 BENCHMARK(BM_ControlWord_LeadingOne)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_ControlWord_SetReset(benchmark::State& state) {
-  ControlWord sw(64);
+  RContext ctx(0, 1, /*measure_phases=*/false);
+  runtime::CtxControlWord<RContext> sw(64);
   for (auto _ : state) {
-    sw.set(13);
-    sw.reset(13);
+    sw.set(ctx, 13);
+    sw.reset(ctx, 13);
   }
 }
 BENCHMARK(BM_ControlWord_SetReset);

@@ -1,8 +1,8 @@
 // Context-generic synchronization building blocks used by the scheduler:
 // the paper's lock protocol and the control word SW, expressed purely in
 // terms of ExecutionContext::sync_op so the virtual-time engine can
-// timestamp and charge every access (the standalone real-hardware versions
-// live in sync/).
+// timestamp and charge every access.  Real cores run the same code over
+// sync::SyncVar through RContext.
 #pragma once
 
 #include <bit>

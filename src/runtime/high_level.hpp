@@ -139,9 +139,9 @@ inline i64 eval_bound(C& ctx, const program::Bound& bound,
 //      cancellation (`cancel.latch`, same election): store done := 1 and
 //      poison every pooled instance's low-level index word to bound+1;
 //   2. every grab loop fails against the poisoned index (every portfolio
-//      strategy gates on {index <= bound}, directly or through its
-//      fetch-then-CAS pair), so workers detach and fall
-//      into SEARCH, which already polls `done` each round and exits;
+//      strategy grabs with the {index <= bound} claim), so workers detach
+//      and fall into SEARCH, which already polls `done` each round and
+//      exits;
 //   3. blocking regions (Doacross post-waits, teardown pcount drains,
 //      injected stalls) poll `done` per spin round — `done != 0` while the
 //      polling worker still holds an unreleased instance can only mean
@@ -181,10 +181,9 @@ inline bool cancel_requested(C& ctx, SchedState<C>& st) {
 }
 
 /// Poison every pooled instance's index word to bound+1 so all further
-/// {index <= bound ; Fetch&Add} grabs fail.  GSS/factoring cannot undo the
-/// poison either: their in-flight CAS {index == seen ; Fetch&Add} requires
-/// the pre-fetched (legal, <= bound) value to still be current.  Instances
-/// already fully scheduled (index past bound) are unchanged in behavior.
+/// {index <= bound ; Fetch&Add} grabs fail — every strategy grabs that
+/// way.  Instances already fully scheduled (index past bound) are
+/// unchanged in behavior.
 /// Sharded instances get every shard's index poisoned past its own
 /// sub-range the same way; `sched_done` is deliberately NOT forged — an
 /// in-flight final grant may still legitimately win the completion

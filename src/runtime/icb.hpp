@@ -14,8 +14,9 @@
 //   index       (index)         next unscheduled iteration, starts at 1
 //   icount      (icount)        completed-iteration counter, starts at 0
 //   pcount      (pcount)        processors attached to this ICB
-//   aux                         dispatch sequence counter (trapezoid/
-//                               factoring2 families) — an extension slot
+//   aux                         dispatch sequence counter: the step number
+//                               that sizes GSS, factoring, trapezoid and
+//                               their variants — an extension slot
 //   adapt/adapt_tau             adaptive-strategy tuned chunk + body-time
 //                               EWMA (extension slots)
 //   da_flags                    Doacross post flags, one per iteration
@@ -39,8 +40,8 @@ namespace selfsched::runtime {
 /// private dispatch counters plus the contiguous sub-range [lo, hi] of the
 /// instance's iteration space this shard owns.  `index` starts at `lo` and
 /// is driven by the same strategy chunk rule as the flat counter, gated on
-/// `hi`; `aux` is the shard-local dispatch sequence counter for the
-/// trapezoid/factoring2 families.  lo/hi are plain values: written once in
+/// `hi`; `aux` is the shard-local dispatch sequence counter of the
+/// step-sized strategies.  lo/hi are plain values: written once in
 /// init (published by APPEND, like every other ICB field) and read-only
 /// afterwards.  Cache-line aligned so sibling shards — the whole point of
 /// sharding — never false-share.

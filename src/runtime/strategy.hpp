@@ -14,43 +14,37 @@
 //                chunks from `first` to `last` (extension).
 //   kFactoring2  true batched factoring: batch r hands out P *equal* chunks
 //                of k_r = ceil(R_r / 2P) before recomputing, R_{r+1} =
-//                R_r - P*k_r.  Sized off the dispatch-sequence counter, so
-//                the chunk series is a closed-form function of (b, P, seq).
-//   kWeightedFactoring
-//                factoring2 with static per-processor weights: worker p's
-//                chunk in batch r is ceil(k_r * P * w_p / sum(w)), for
-//                heterogeneous processors (Hummel et al. WF).
+//                R_r - P*k_r.
 //   kTrapezoidTuned
 //                TSS with the Tzen/Ni tuned endpoints — first = ceil(b/2P),
 //                exact dispatch count N = ceil(2b/(f+l)) — and a 16.16
 //                fixed-point decrement so the ramp hits `last` exactly
 //                instead of flooring the slope to an integer.
-//   kRandomSteal random/steal hybrid: while plenty of work remains, grab a
-//                hash-derived random chunk in [ceil(R/4P), R/2P] (decorrelates
-//                contention bursts); once R <= 2P, fall back to single-
-//                iteration grabs — the "steal the tail one at a time"
-//                endgame that bounds imbalance by one iteration.
 //   kAdaptive    meta-strategy: seeds the chunk size from the §IV analytical
 //                optimum (analysis::optimal_adaptive_chunk, Eq. 7 extended
 //                with a tail-imbalance term) and retunes it per instance
 //                from per-chunk timing feedback (adaptive_feedback below).
 //
-// GSS-style strategies need remaining = bound - index + 1 read-then-update
-// atomically; the paper's equality test turns test-and-op into compare-and-
-// swap: {index == seen ; Fetch&Add(chunk)} retried on interference.
+// One dispatch shape serves every strategy: size the chunk k, then grab it
+// with ctx_claim (runtime/ctx_sync.hpp), the paper's bounded {index <= b ;
+// Fetch&Add(k)}.  self, chunk and adaptive know k up front.  The others take
+// a step number seq = {aux ; Increment} and compute k in closed form from
+// (span, P, seq) — Eleliemy & Ciorba's distributed chunk calculation — so
+// no grab reads index first and none retries.  GSS and factoring step the
+// remaining-based recurrence (guided_chunk_at): a serial drain grabs
+// exactly ceil(R/P) (or ceil(R/2P)) of the true remaining R, while under
+// contention seq order may differ from index order, so sizes can
+// interleave across workers; every iteration is still granted exactly once.
 //
-// Every other strategy sizes its chunk first and then grabs it with
-// ctx_claim (runtime/ctx_sync.hpp), the paper's bounded {index <= b ;
-// Fetch&Add(k)}.  vtime runs that as the tested instruction; real cores run
-// it as one unconditional fetch&add that succeeds iff the fetched value is
-// <= b, so a failed claim leaves index somewhere past b+1.  That overshoot
-// is invisible: index only grows once published (the poison store writes
+// vtime runs the claim as the tested instruction; real cores run it as one
+// unconditional fetch&add that succeeds iff the fetched value is <= b, so a
+// failed claim leaves index somewhere past b+1.  That overshoot is
+// invisible: index only grows once published (the poison store writes
 // b+1), and every reader only compares it against its bound (Icb::index).
 //
-// Cancellation containment: every strategy gates its grab on {index <= b}
-// (directly, via ctx_claim's fetched value, or via the fetch-then-CAS pair
-// whose CAS re-checks the fetched value).  Poisoning index to b+1 therefore
-// stops all of them — see poison_pool in high_level.hpp.
+// Cancellation containment: every grab is gated on {index <= b} through
+// ctx_claim's fetched value, so poisoning index to b+1 stops all of them —
+// see poison_pool in high_level.hpp.
 #pragma once
 
 #include <algorithm>
@@ -59,7 +53,6 @@
 #include "analysis/model.hpp"
 #include "audit/hooks.hpp"
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "common/shard_math.hpp"
 #include "exec/context.hpp"
 #include "runtime/ctx_sync.hpp"
@@ -87,29 +80,24 @@ inline constexpr double kAdaptiveThreadO1 = 60.0;
 inline constexpr double kAdaptiveThreadO2 = 400.0;
 
 struct Strategy {
+  // Values are pinned: fuzz repro files store them.  6 and 8 were the
+  // deleted weighted-factoring and random-steal kinds; do not reuse them.
   enum class Kind : u32 {
-    kSelf,
-    kChunk,
-    kGSS,
-    kFactoring,
-    kTrapezoid,
-    kFactoring2,
-    kWeightedFactoring,
-    kTrapezoidTuned,
-    kRandomSteal,
-    kAdaptive,
+    kSelf = 0,
+    kChunk = 1,
+    kGSS = 2,
+    kFactoring = 3,
+    kTrapezoid = 4,
+    kFactoring2 = 5,
+    kTrapezoidTuned = 7,
+    kAdaptive = 9,
   };
 
   Kind kind = Kind::kSelf;
-  i64 chunk = 1;      // kChunk: fixed size; kGSS/kFactoring/kFactoring2/
-                      // kWeightedFactoring/kRandomSteal: minimum chunk;
-                      // kAdaptive: minimum chunk clamp
+  i64 chunk = 1;      // kChunk: fixed size; kGSS/kFactoring/kFactoring2:
+                      // minimum chunk; kAdaptive: minimum chunk clamp
   i64 tss_first = 0;  // kTrapezoid/kTrapezoidTuned: first chunk (0 = auto)
   i64 tss_last = 1;   // kTrapezoid/kTrapezoidTuned: final chunk
-  u64 wf_weights = 0;  // kWeightedFactoring: 8 per-worker weight bytes,
-                       // worker p uses byte p%8; a zero byte means weight 1
-                       // (so 0 as a whole = uniform = factoring2)
-  u64 rs_seed = 1;    // kRandomSteal: hash seed for the chunk-size draw
   i64 adapt_tau = 0;  // kAdaptive: prior body ticks (0 = kAdaptiveDefaultTau)
   i64 adapt_max = 0;  // kAdaptive: chunk ceiling (0 = auto min(b/P, cap))
 
@@ -134,21 +122,9 @@ struct Strategy {
     SS_CHECK(min_chunk >= 1);
     return {Kind::kFactoring2, min_chunk};
   }
-  static Strategy weighted_factoring(u64 weights = 0, i64 min_chunk = 1) {
-    SS_CHECK(min_chunk >= 1);
-    Strategy s{Kind::kWeightedFactoring, min_chunk};
-    s.wf_weights = weights;
-    return s;
-  }
   static Strategy trapezoid_tuned(i64 first = 0, i64 last = 1) {
     SS_CHECK(last >= 1 && (first == 0 || first >= last));
     return {Kind::kTrapezoidTuned, 1, first, last};
-  }
-  static Strategy random_steal(u64 seed = 1, i64 min_chunk = 1) {
-    SS_CHECK(min_chunk >= 1);
-    Strategy s{Kind::kRandomSteal, min_chunk};
-    s.rs_seed = seed;
-    return s;
   }
   static Strategy adaptive(i64 tau_prior = 0, i64 min_chunk = 1,
                            i64 max_chunk = 0) {
@@ -167,9 +143,7 @@ struct Strategy {
       case Kind::kFactoring: return "factoring";
       case Kind::kTrapezoid: return "trapezoid";
       case Kind::kFactoring2: return "factoring2";
-      case Kind::kWeightedFactoring: return "wfactoring";
       case Kind::kTrapezoidTuned: return "tss2";
-      case Kind::kRandomSteal: return "randsteal";
       case Kind::kAdaptive: return "adaptive";
     }
     return "?";
@@ -184,12 +158,45 @@ struct Dispatch {
                                 // caller must DELETE the ICB from its list
 };
 
-/// Batched-factoring chunk size at dispatch sequence number `seq` (0-based):
-/// batch r = seq/P hands out P chunks of k_r = max(min_chunk, ceil(R_r/2P)),
-/// R_{r+1} = R_r - P*k_r.  Pure in (b, procs, seq, min_chunk), so it is both
-/// the dispatcher's sizing rule and the conformance oracle.  Once R_r
+/// Guided chunk size at dispatch sequence number `seq` (0-based): steps the
+/// serial recurrence R_0 = span, k_i = max(min_chunk, ceil(R_i/div)),
+/// R_{i+1} = max(0, R_i - k_i).  div = P gives GSS, 2P factoring.  A serial
+/// drain therefore grabs exactly what the remaining-based rule would.  O(seq)
+/// per call, over the O(P log(span/P)) grabs of an instance.  Once R_i
 /// reaches 0 the size floors at min_chunk; grabs at that point fail the
 /// {index <= b} gate anyway.
+inline i64 guided_chunk_at(i64 span, i64 div, i64 seq, i64 min_chunk) {
+  i64 remaining = span;
+  i64 k = min_chunk;
+  for (i64 i = 0;; ++i) {
+    k = std::max(min_chunk, (remaining + div - 1) / div);
+    if (i == seq || remaining == 0) break;
+    remaining = std::max<i64>(0, remaining - k);
+  }
+  return std::max<i64>(1, k);
+}
+
+/// Trapezoid chunk size at dispatch sequence `seq`: c(n) = max(last,
+/// first - n*delta), delta = (first-last)/(N-1) where N is the number of
+/// dispatches that consume the loop at the average chunk.
+inline i64 trapezoid_chunk_at(i64 span, u32 procs, i64 seq, i64 tss_first,
+                              i64 tss_last) {
+  const i64 first_chunk =
+      tss_first > 0 ? tss_first
+                    : std::max<i64>(1, span / (2 * static_cast<i64>(procs)));
+  const i64 avg = std::max<i64>(1, (first_chunk + tss_last) / 2);
+  const i64 n_dispatch = std::max<i64>(1, (span + avg - 1) / avg);
+  const i64 delta =
+      n_dispatch > 1
+          ? std::max<i64>(0, (first_chunk - tss_last) / (n_dispatch - 1))
+          : 0;
+  return std::max(tss_last, first_chunk - seq * delta);
+}
+
+/// Batched-factoring chunk size at dispatch sequence number `seq` (0-based):
+/// batch r = seq/P hands out P chunks of k_r = max(min_chunk, ceil(R_r/2P)),
+/// R_{r+1} = R_r - P*k_r.  Once R_r reaches 0 the size floors at min_chunk;
+/// grabs at that point fail the {index <= b} gate anyway.
 inline i64 factoring2_chunk_at(i64 b, u32 procs, i64 seq, i64 min_chunk) {
   const i64 p = std::max<i64>(1, static_cast<i64>(procs));
   const i64 batch = seq / p;
@@ -203,27 +210,9 @@ inline i64 factoring2_chunk_at(i64 b, u32 procs, i64 seq, i64 min_chunk) {
   return std::max<i64>(1, k);
 }
 
-/// Weighted-factoring weight of worker p: byte p%8 of the packed weight
-/// word, with 0 mapped to 1 so an unset byte (and an all-zero word) means
-/// "uniform".
-inline i64 wf_weight_of(u64 weights, u32 proc) {
-  const u64 byte = (weights >> ((proc % 8) * 8)) & 0xff;
-  return byte == 0 ? 1 : static_cast<i64>(byte);
-}
-
-/// Sum of wf_weight_of over the first `procs` workers.
-inline i64 wf_weight_sum(u64 weights, u32 procs) {
-  i64 sum = 0;
-  for (u32 p = 0; p < std::max<u32>(1, procs); ++p) {
-    sum += wf_weight_of(weights, p);
-  }
-  return sum;
-}
-
 /// Tuned-TSS chunk size at dispatch sequence `seq`: first f (default
 /// ceil(b/2P)), last l (clamped to f), N = max(2, ceil(2b/(f+l))) dispatches,
-/// 16.16 fixed-point ramp so want(N-1) lands on l exactly.  Pure — doubles
-/// as the conformance oracle.
+/// 16.16 fixed-point ramp so want(N-1) lands on l exactly.
 inline i64 tss2_chunk_at(i64 b, u32 procs, i64 seq, i64 tss_first,
                          i64 tss_last) {
   const i64 p = std::max<i64>(1, static_cast<i64>(procs));
@@ -235,19 +224,30 @@ inline i64 tss2_chunk_at(i64 b, u32 procs, i64 seq, i64 tss_first,
   return std::max(l, f - ((seq * delta_fp) >> 16));
 }
 
-/// Random/steal chunk size for a grab that fetched `index_seen` with
-/// `remaining` iterations left.  Hashes (seed, index) — the fetched index is
-/// unique per successful grab, so no extra sync var is consumed and the
-/// draw is pure: the conformance oracle replays it exactly.
-inline i64 random_steal_chunk(u64 seed, i64 index_seen, i64 remaining,
-                              u32 procs, i64 min_chunk) {
-  const i64 p = std::max<i64>(1, static_cast<i64>(procs));
-  if (remaining <= 2 * p) return 1;  // steal endgame: finest grain
-  const i64 lo = std::max(min_chunk, (remaining + 4 * p - 1) / (4 * p));
-  const i64 hi = std::max(lo, remaining / (2 * p));
-  const u64 h =
-      mix64(seed ^ (static_cast<u64>(index_seen) * 0x9e3779b97f4a7c15ULL));
-  return lo + static_cast<i64>(h % static_cast<u64>(hi - lo + 1));
+/// Chunk size of a step-sized strategy (every kind but self, chunk and
+/// adaptive) at dispatch sequence `seq` over a range of `span` iterations
+/// shared by `procs` workers.  Pure in its arguments: the step number
+/// alone decides the size, whoever draws it.
+inline i64 step_chunk_at(const Strategy& s, i64 span, u32 procs, i64 seq) {
+  const i64 p = static_cast<i64>(procs);
+  switch (s.kind) {
+    case Strategy::Kind::kGSS:
+      return guided_chunk_at(span, p, seq, s.chunk);
+    case Strategy::Kind::kFactoring:
+      return guided_chunk_at(span, 2 * p, seq, s.chunk);
+    case Strategy::Kind::kTrapezoid:
+      return trapezoid_chunk_at(span, procs, seq, s.tss_first, s.tss_last);
+    case Strategy::Kind::kFactoring2:
+      return factoring2_chunk_at(span, procs, seq, s.chunk);
+    case Strategy::Kind::kTrapezoidTuned:
+      return tss2_chunk_at(span, procs, seq, s.tss_first, s.tss_last);
+    case Strategy::Kind::kSelf:
+    case Strategy::Kind::kChunk:
+    case Strategy::Kind::kAdaptive:
+      break;
+  }
+  SS_CHECK_MSG(false, "step_chunk_at: strategy is not step-sized");
+  return 1;
 }
 
 /// Pure core of the adaptive tuner: the completion-time-optimal chunk for an
@@ -344,121 +344,16 @@ template <exec::ExecutionContext C>
 Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
                         typename C::Sync& aux, i64 lo, i64 hi, u32 procs,
                         const Strategy& s) {
-  const i64 b = hi;             // gate / remaining-count anchor
+  const i64 b = hi;              // the claim's gate
   const i64 span = hi - lo + 1;  // total work the chunk rules size against
 
-  const auto finish = [b](i64 first, i64 want) {
-    Dispatch d;
-    d.first = first;
-    d.count = std::min(want, b - first + 1);
-    d.last_scheduled = (first + d.count - 1 == b);
-    return d;
-  };
-
+  i64 k = 1;
   switch (s.kind) {
     case Strategy::Kind::kSelf:
-    case Strategy::Kind::kChunk: {
-      const i64 k = (s.kind == Strategy::Kind::kSelf) ? 1 : s.chunk;
-      const auto r = ctx_claim(ctx, index, b, k);
-      if (!r.success) return {};
-      return finish(r.fetched, k);
-    }
-
-    case Strategy::Kind::kGSS:
-    case Strategy::Kind::kFactoring: {
-      for (;;) {
-        const auto seen =
-            ctx.sync_op(index, sync::Test::kLE, b, sync::Op::kFetch);
-        if (!seen.success) return {};
-        const i64 remaining = b - seen.fetched + 1;
-        const i64 div = (s.kind == Strategy::Kind::kGSS)
-                            ? static_cast<i64>(procs)
-                            : 2 * static_cast<i64>(procs);
-        if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-        const i64 want =
-            std::max(s.chunk, (remaining + div - 1) / div);
-        const auto cas = ctx.sync_op(index, sync::Test::kEQ, seen.fetched,
-                                     sync::Op::kFetchAdd, want);
-        if (cas.success) return finish(cas.fetched, want);
-        // Another processor moved index between our Fetch and our CAS;
-        // re-read and retry with the new remaining count.
-        trace::bump(ctx, &trace::Counters::cas_retries);
-      }
-    }
-
-    case Strategy::Kind::kTrapezoid: {
-      // Chunk sizes decrease linearly with the dispatch sequence number:
-      // c(n) = max(last, first - n*delta), delta = (first-last)/(N-1) where
-      // N = number of dispatches to consume the loop at the average chunk.
-      const i64 first_chunk =
-          s.tss_first > 0
-              ? s.tss_first
-              : std::max<i64>(1, span / (2 * static_cast<i64>(procs)));
-      const i64 avg = std::max<i64>(1, (first_chunk + s.tss_last) / 2);
-      const i64 n_dispatch = std::max<i64>(1, (span + avg - 1) / avg);
-      const i64 delta =
-          n_dispatch > 1 ? std::max<i64>(0, (first_chunk - s.tss_last) /
-                                                (n_dispatch - 1))
-                         : 0;
-      const auto seq =
-          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
-      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      const i64 want =
-          std::max(s.tss_last, first_chunk - seq.fetched * delta);
-      const auto r = ctx_claim(ctx, index, b, want);
-      if (!r.success) return {};
-      return finish(r.fetched, want);
-    }
-
-    case Strategy::Kind::kFactoring2:
-    case Strategy::Kind::kWeightedFactoring: {
-      // Batched factoring: the dispatch-sequence counter assigns this grab
-      // a slot; slot -> batch -> closed-form chunk size.  Weighted variant
-      // scales the batch chunk by this worker's share of the weight mass.
-      const auto seq =
-          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
-      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      i64 want = factoring2_chunk_at(span, procs, seq.fetched, s.chunk);
-      if (s.kind == Strategy::Kind::kWeightedFactoring) {
-        const i64 w = wf_weight_of(s.wf_weights, ctx.proc());
-        const i64 wsum = wf_weight_sum(s.wf_weights, procs);
-        const i64 p = std::max<i64>(1, static_cast<i64>(procs));
-        want = std::max(s.chunk, (want * p * w + wsum - 1) / wsum);
-      }
-      const auto r = ctx_claim(ctx, index, b, want);
-      if (!r.success) return {};
-      return finish(r.fetched, want);
-    }
-
-    case Strategy::Kind::kTrapezoidTuned: {
-      const auto seq =
-          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
-      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      const i64 want =
-          tss2_chunk_at(span, procs, seq.fetched, s.tss_first, s.tss_last);
-      const auto r = ctx_claim(ctx, index, b, want);
-      if (!r.success) return {};
-      return finish(r.fetched, want);
-    }
-
-    case Strategy::Kind::kRandomSteal: {
-      // Remaining-dependent like GSS, so it needs the fetch-then-CAS pair;
-      // the randomness keys off the fetched index, which the CAS pins.
-      for (;;) {
-        const auto seen =
-            ctx.sync_op(index, sync::Test::kLE, b, sync::Op::kFetch);
-        if (!seen.success) return {};
-        const i64 remaining = b - seen.fetched + 1;
-        if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-        const i64 want = random_steal_chunk(s.rs_seed, seen.fetched,
-                                            remaining, procs, s.chunk);
-        const auto cas = ctx.sync_op(index, sync::Test::kEQ, seen.fetched,
-                                     sync::Op::kFetchAdd, want);
-        if (cas.success) return finish(cas.fetched, want);
-        trace::bump(ctx, &trace::Counters::cas_retries);
-      }
-    }
-
+      break;
+    case Strategy::Kind::kChunk:
+      k = s.chunk;
+      break;
     case Strategy::Kind::kAdaptive: {
       // Read the instance's current tuned chunk; first arrival runs a
       // seeding election ({adapt == 0 ; Store k0}) so exactly one worker
@@ -467,8 +362,8 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
       // and tau EWMA live in the ICB's own sync vars and the seed optimizes
       // for the whole instance (bound, all P workers), so every shard grabs
       // with the same adaptively tuned k.  Only the gate is per-range.
-      i64 k = ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
-                  .fetched;
+      k = ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
+              .fetched;
       if (k <= 0) {
         if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
         const i64 k0 = adaptive_seed_chunk(ctx, s, icb.bound, ctx.num_procs());
@@ -482,12 +377,30 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
                      .fetched);
         }
       }
-      const auto r = ctx_claim(ctx, index, b, k);
-      if (!r.success) return {};
-      return finish(r.fetched, k);
+      break;
+    }
+    case Strategy::Kind::kGSS:
+    case Strategy::Kind::kFactoring:
+    case Strategy::Kind::kTrapezoid:
+    case Strategy::Kind::kFactoring2:
+    case Strategy::Kind::kTrapezoidTuned: {
+      // The dispatch-sequence counter numbers this grab; the step number
+      // alone sizes it.
+      const auto seq =
+          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
+      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
+      k = step_chunk_at(s, span, procs, seq.fetched);
+      break;
     }
   }
-  return {};
+
+  const auto r = ctx_claim(ctx, index, b, k);
+  if (!r.success) return {};
+  Dispatch d;
+  d.first = r.fetched;
+  d.count = std::min(k, b - r.fetched + 1);
+  d.last_scheduled = (r.fetched + d.count - 1 == b);
+  return d;
 }
 
 /// Sharded low-level dispatch (SchedOptions::index_shards > 1; see

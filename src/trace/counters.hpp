@@ -1,7 +1,7 @@
 // Scheduler metric counters: cheap always-on tallies of the events the
 // paper's overhead analysis cares about but WorkerStats' phase buckets
-// cannot resolve — CAS interference in the guided strategies, SW scan and
-// list-lock traffic in SEARCH, backoff pressure.  Each worker increments a
+// cannot resolve — SW scan and list-lock traffic in SEARCH, backoff
+// pressure.  Each worker increments a
 // private cacheline-padded slot (trace/recorder.hpp); the runner folds the
 // slots into RunResult::counters.
 #pragma once
@@ -12,7 +12,9 @@ namespace selfsched::trace {
 
 struct Counters {
   u64 dispatches = 0;          // successful low-level grabs (chunks)
-  u64 cas_retries = 0;         // GSS/factoring fetch-then-CAS interference
+  u64 cas_retries = 0;         // always 0: no dispatch retries since every
+                               // strategy grabs with one claim; kept for
+                               // perfbench's cas_retries_per_dispatch
   u64 sw_scans = 0;            // SW leading-one-detection invocations
   u64 sw_summary_repairs = 0;  // hierarchical-SW fallback scans that healed
                                // a stale summary bit

@@ -156,14 +156,15 @@ runtime::ProgramBuilder random_builder(u64 seed) {
 class PortfolioSweep : public ::testing::TestWithParam<u32> {};
 
 TEST_P(PortfolioSweep, PreservesIterationSetAndAuditConservation) {
-  // Every new portfolio member, swept across seeded-shuffle schedules with
-  // the invariant auditor shadowing each run: the parallel iteration
-  // multiset must equal the serial oracle and the auditor must stay silent.
+  // Every step-sized or adaptive portfolio member, swept across
+  // seeded-shuffle schedules with the invariant auditor shadowing each run:
+  // the parallel iteration multiset must equal the serial oracle and the
+  // auditor must stay silent.
   const std::vector<Strategy> portfolio = {
       Strategy::factoring2(),
-      Strategy::weighted_factoring(0x0102040101020401ULL),
+      Strategy::gss(),
       Strategy::trapezoid_tuned(),
-      Strategy::random_steal(99),
+      Strategy::factoring(),
       Strategy::adaptive(),
   };
   const Strategy s = portfolio[GetParam()];

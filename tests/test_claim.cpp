@@ -1,10 +1,11 @@
-// The bounded grab {index <= b ; Fetch&Add(k)} behind every claim strategy
+// The bounded grab {index <= b ; Fetch&Add(k)} behind every strategy
 // (runtime::ctx_claim).  On threads it is one unconditional fetch&add whose
 // success is decided from the fetched value, so the index overshoots b+1;
 // these tests pin that the overshoot is invisible: every iteration is
 // granted exactly once, exactly one grab takes the last iteration, nothing
 // succeeds after exhaustion, and a poison store still stops every grab.
-// On vtime the claim must stay the tested instruction, event for event.
+// On vtime the claim must stay the tested instruction, event for event, and
+// no strategy may grab any other way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 
 #include "exec/real_context.hpp"
 #include "runtime/ctx_sync.hpp"
+#include "runtime/strategy.hpp"
 #include "vtime/context.hpp"
 #include "vtime/engine.hpp"
 
@@ -23,6 +25,19 @@ namespace {
 
 u32 team_size() {
   return std::max(2u, std::thread::hardware_concurrency());
+}
+
+/// Every strategy kind, with min-chunk GSS and factoring for the clamp of
+/// the step recurrence.
+const std::vector<Strategy>& every_kind() {
+  static const std::vector<Strategy> p = {
+      Strategy::self(),           Strategy::chunked(3),
+      Strategy::gss(),            Strategy::gss(4),
+      Strategy::factoring(),      Strategy::factoring(3),
+      Strategy::trapezoid(8, 2),  Strategy::factoring2(),
+      Strategy::trapezoid_tuned(), Strategy::adaptive(),
+  };
+  return p;
 }
 
 /// Run `fn(ctx)` on `procs` threads, each with its own RContext, released
@@ -143,6 +158,38 @@ TEST(Claim, ThreadsPoisonMidDrainStopsLaterGrabs) {
   }
 }
 
+TEST(Claim, ThreadsEveryStrategyDrainsOneIcbExactlyOnce) {
+  const u32 procs = team_size();
+  for (const Strategy& s : every_kind()) {
+    for (const i64 b : {i64{1}, i64{7}, i64{10000}}) {
+      for (const u32 shards : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << s.name() << " chunk=" << s.chunk << " b=" << b
+                     << " shards=" << shards);
+        Icb<exec::RContext> icb;
+        icb.init(0, b, IndexVec{}, false, kMaxDepth, shards);
+        auto granted = std::make_unique<std::atomic<int>[]>(
+            static_cast<std::size_t>(b + 1));
+        std::atomic<int> last_grabs{0};
+        run_team(procs, [&](exec::RContext& ctx) {
+          for (;;) {
+            const Dispatch d = dispatch_iterations(ctx, icb, s);
+            if (d.count == 0) break;
+            for (i64 j = d.first; j < d.first + d.count; ++j) {
+              granted[j].fetch_add(1);
+            }
+            if (d.last_scheduled) last_grabs.fetch_add(1);
+          }
+        });
+        for (i64 j = 1; j <= b; ++j) {
+          ASSERT_EQ(granted[j].load(), 1) << "iteration " << j;
+        }
+        EXPECT_EQ(last_grabs.load(), 1);
+      }
+    }
+  }
+}
+
 /// Engine events of one vtime worker running `grab` three times against a
 /// bound of 4 with chunk 3: two successes, then a failure.
 template <typename Grab>
@@ -184,6 +231,35 @@ TEST(Claim, VtimeRecordsTheTestedFetchAddEvent) {
   EXPECT_TRUE(claim[0].success);
   EXPECT_TRUE(claim[1].success);
   EXPECT_FALSE(claim[2].success);
+}
+
+TEST(Claim, VtimeDispatchIssuesNoEqualityGrab) {
+  // Every grab is the tested claim: no strategy reads index and then
+  // retries a {index == seen ; Fetch&Add} on it.
+  constexpr u32 kProcs = 4;
+  for (const Strategy& s : every_kind()) {
+    for (const u32 shards : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << s.name() << " chunk=" << s.chunk
+                                        << " shards=" << shards);
+      vtime::Engine engine(kProcs, /*trace=*/true);
+      Icb<vtime::VContext> icb;
+      icb.init(0, 1000, IndexVec{}, false, kMaxDepth, shards);
+      std::atomic<i64> total{0};
+      engine.run([&](ProcId id) {
+        vtime::VContext ctx(engine, id, vtime::CostModel{});
+        for (;;) {
+          const Dispatch d = dispatch_iterations(ctx, icb, s);
+          if (d.count == 0) break;
+          total.fetch_add(d.count);
+        }
+      });
+      EXPECT_EQ(total.load(), 1000);
+      for (const vtime::TraceEvent& e : engine.trace()) {
+        EXPECT_FALSE(e.test == sync::Test::kEQ && e.op == sync::Op::kFetchAdd)
+            << "equality grab at event " << e.seq;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -34,7 +34,9 @@ using runtime::RunResult;
 using runtime::SchedOptions;
 using runtime::Strategy;
 
-/// The full strategy portfolio, in Kind order.
+/// The full strategy portfolio, in Kind order, plus min-chunk GSS and
+/// factoring in slots 6 and 8 so the step recurrence's clamp is
+/// differential-tested too (the positional test names stay put).
 const std::vector<Strategy>& portfolio() {
   static const std::vector<Strategy> p = {
       Strategy::self(),
@@ -43,9 +45,9 @@ const std::vector<Strategy>& portfolio() {
       Strategy::factoring(),
       Strategy::trapezoid(8, 2),
       Strategy::factoring2(),
-      Strategy::weighted_factoring(0x0102040101020401ULL),
+      Strategy::gss(4),
       Strategy::trapezoid_tuned(),
-      Strategy::random_steal(7),
+      Strategy::factoring(3),
       Strategy::adaptive(),
   };
   return p;

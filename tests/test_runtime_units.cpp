@@ -349,9 +349,10 @@ TEST(Strategy, TrapezoidDecreasesLinearly) {
 }
 
 // Closed-form chunk sequence of strategy `s` draining bound `b` with no
-// interference (single processor drains, so Fetch-then-CAS never retries):
+// interference (a single processor drains, so step order is index order):
 // the analytic forms from §II-C / §IV that dispatch_iterations must match
-// grab for grab.
+// grab for grab.  GSS and factoring size off the true remaining count here,
+// independently of the step recurrence the runtime uses.
 std::vector<i64> closed_form(i64 b, const Strategy& s, u32 procs) {
   const i64 p = static_cast<i64>(procs);
   std::vector<i64> out;
@@ -383,8 +384,7 @@ std::vector<i64> closed_form(i64 b, const Strategy& s, u32 procs) {
         want = std::max(s.tss_last, first - n * delta);
         break;
       }
-      case Strategy::Kind::kFactoring2:
-      case Strategy::Kind::kWeightedFactoring: {
+      case Strategy::Kind::kFactoring2: {
         // Batched factoring, replicated independently of the runtime
         // helper: batch r = n/P sizes P chunks at ceil(R_r/2P).
         const i64 batch = n / p;
@@ -396,16 +396,6 @@ std::vector<i64> closed_form(i64 b, const Strategy& s, u32 procs) {
           rem = std::max<i64>(0, rem - p * k);
         }
         want = std::max<i64>(1, k);
-        if (s.kind == Strategy::Kind::kWeightedFactoring) {
-          // drain() dispatches as worker 0: weight byte 0 (0 reads as 1).
-          auto weight = [&](u32 q) {
-            const u64 byte = (s.wf_weights >> ((q % 8) * 8)) & 0xff;
-            return byte == 0 ? i64{1} : static_cast<i64>(byte);
-          };
-          i64 wsum = 0;
-          for (u32 q = 0; q < procs; ++q) wsum += weight(q);
-          want = std::max(s.chunk, (want * p * weight(0) + wsum - 1) / wsum);
-        }
         break;
       }
       case Strategy::Kind::kTrapezoidTuned: {
@@ -416,18 +406,6 @@ std::vector<i64> closed_form(i64 b, const Strategy& s, u32 procs) {
         const i64 nd = std::max<i64>(2, (2 * b + f + l - 1) / (f + l));
         const i64 delta_fp = ((f - l) << 16) / (nd - 1);
         want = std::max(l, f - ((n * delta_fp) >> 16));
-        break;
-      }
-      case Strategy::Kind::kRandomSteal: {
-        if (remaining <= 2 * p) {
-          want = 1;
-        } else {
-          const i64 lo = std::max(s.chunk, (remaining + 4 * p - 1) / (4 * p));
-          const i64 hi = std::max(lo, remaining / (2 * p));
-          const u64 h = mix64(s.rs_seed ^ (static_cast<u64>(index) *
-                                           0x9e3779b97f4a7c15ULL));
-          want = lo + static_cast<i64>(h % static_cast<u64>(hi - lo + 1));
-        }
         break;
       }
       case Strategy::Kind::kAdaptive:
@@ -520,20 +498,6 @@ TEST(Strategy, Factoring2MinChunkFloorsBatches) {
   EXPECT_EQ(sum(sizes), 100);
 }
 
-TEST(Strategy, WeightedFactoringUniformMatchesFactoring2) {
-  // An all-zero weight word means weight 1 everywhere: identical schedule.
-  EXPECT_EQ(drain(100, Strategy::weighted_factoring(0), 4),
-            drain(100, Strategy::factoring2(), 4));
-}
-
-TEST(Strategy, WeightedFactoringScalesChunkByWorkerWeight) {
-  // Worker 0 weight 4, workers 1-3 weight 1 (wsum 7): its batch-0 chunk is
-  // ceil(13*4*4/7) = 30 instead of 13.  drain() dispatches as worker 0.
-  const auto sizes = drain(100, Strategy::weighted_factoring(0x04), 4);
-  EXPECT_EQ(sizes.front(), 30);
-  EXPECT_EQ(sum(sizes), 100);
-}
-
 TEST(Strategy, Tss2ExactSequence) {
   // Auto first: f = ceil(128/8) = 16, l = 1, N = ceil(256/17) = 16,
   // delta = (15<<16)/15 = 1.0 fixed-point: 16,15,14,... until the bound
@@ -561,38 +525,6 @@ TEST(Strategy, Tss2FractionalSlopeKeepsDecreasing) {
   EXPECT_EQ(sum(tuned), 1000);
 }
 
-TEST(Strategy, RandomStealChunksStayInGssLikeBand) {
-  // While remaining > 2P every draw lies in [ceil(R/4P), R/2P]; the
-  // endgame degrades to single-iteration steals.
-  const u32 procs = 4;
-  RContext ctx(0, procs);
-  Icb<RContext> icb;
-  icb.init(0, 1000, IndexVec{}, false);
-  i64 index = 1;
-  for (;;) {
-    const Dispatch d = dispatch_iterations(ctx, icb, Strategy::random_steal(7));
-    if (d.count == 0) break;
-    const i64 remaining = 1000 - index + 1;
-    if (remaining > 2 * static_cast<i64>(procs)) {
-      const i64 lo = (remaining + 4 * procs - 1) / (4 * procs);
-      const i64 hi = std::max(lo, remaining / (2 * procs));
-      EXPECT_GE(d.count, std::min(lo, remaining));
-      EXPECT_LE(d.count, hi);
-    } else {
-      EXPECT_EQ(d.count, std::min<i64>(1, remaining));
-    }
-    index += d.count;
-  }
-  EXPECT_EQ(index, 1001);
-}
-
-TEST(Strategy, RandomStealSeedDeterminesSequence) {
-  EXPECT_EQ(drain(500, Strategy::random_steal(42), 4),
-            drain(500, Strategy::random_steal(42), 4));
-  EXPECT_NE(drain(500, Strategy::random_steal(42), 4),
-            drain(500, Strategy::random_steal(43), 4));
-}
-
 TEST(Strategy, AdaptiveConstantChunkWithoutFeedback) {
   // drain() never feeds timings back, so every grab uses the seed chunk —
   // which must be exactly the analysis-model optimum for the threaded
@@ -618,11 +550,8 @@ TEST(Strategy, AllKindsMatchClosedFormAndCoverBound) {
       Strategy::factoring(),     Strategy::factoring(3),
       Strategy::trapezoid(16, 2), Strategy::trapezoid(0, 1),
       Strategy::factoring2(),    Strategy::factoring2(3),
-      Strategy::weighted_factoring(0x0101020401020301ULL),
       Strategy::trapezoid_tuned(16, 2),
       Strategy::trapezoid_tuned(0, 1),
-      Strategy::random_steal(42),
-      Strategy::random_steal(1, 4),
       Strategy::adaptive(),
       Strategy::adaptive(10, 2, 64),
   };
@@ -654,9 +583,7 @@ TEST(Strategy, Names) {
   EXPECT_STREQ(Strategy::gss().name(), "gss");
   EXPECT_STREQ(Strategy::chunked(5).name(), "chunk");
   EXPECT_STREQ(Strategy::factoring2().name(), "factoring2");
-  EXPECT_STREQ(Strategy::weighted_factoring().name(), "wfactoring");
   EXPECT_STREQ(Strategy::trapezoid_tuned().name(), "tss2");
-  EXPECT_STREQ(Strategy::random_steal().name(), "randsteal");
   EXPECT_STREQ(Strategy::adaptive().name(), "adaptive");
 }
 

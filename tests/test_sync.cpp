@@ -1,17 +1,17 @@
 // Unit tests of the synchronization substrate: the Cedar test-and-op
 // vocabulary, SyncVar atomicity, the control word with leading-one
-// detection, the paper's lock and semaphore, backoff, and the barrier.
+// detection and the paper's lock (over a real-hardware context), backoff,
+// and the barrier.
 #include <gtest/gtest.h>
 
 #include <ostream>
 #include <thread>
 #include <vector>
 
+#include "exec/real_context.hpp"
+#include "runtime/ctx_sync.hpp"
 #include "sync/backoff.hpp"
 #include "sync/barrier.hpp"
-#include "sync/control_word.hpp"
-#include "sync/semaphore.hpp"
-#include "sync/spin_lock.hpp"
 #include "sync/sync_var.hpp"
 
 namespace selfsched::sync {
@@ -164,234 +164,168 @@ TEST(SyncVar, IsCacheLineSized) {
 }
 
 // ------------------------------------------------------------ ControlWord --
+//
+// The control word and the lock as the scheduler uses them: over
+// runtime::CtxControlWord / ctx_lock driven by a real-hardware context.
+
+using exec::RContext;
+using ControlWord = runtime::CtxControlWord<RContext>;
+
+/// Set bits, counted with the host-side peek (no sync ops).
+u32 popcount(const ControlWord& sw) {
+  u32 n = 0;
+  for (u32 i = 0; i < sw.size(); ++i) n += sw.peek(i) ? 1 : 0;
+  return n;
+}
 
 TEST(ControlWord, SetResetTest) {
+  RContext ctx(0, 1);
   ControlWord sw(8);
-  EXPECT_EQ(sw.popcount(), 0u);
-  sw.set(3);
-  sw.set(5);
-  EXPECT_TRUE(sw.test(3));
-  EXPECT_TRUE(sw.test(5));
-  EXPECT_FALSE(sw.test(4));
-  EXPECT_EQ(sw.popcount(), 2u);
-  sw.reset(3);
-  EXPECT_FALSE(sw.test(3));
-  EXPECT_EQ(sw.popcount(), 1u);
+  EXPECT_EQ(popcount(sw), 0u);
+  sw.set(ctx, 3);
+  sw.set(ctx, 5);
+  EXPECT_TRUE(sw.test(ctx, 3));
+  EXPECT_TRUE(sw.test(ctx, 5));
+  EXPECT_FALSE(sw.test(ctx, 4));
+  EXPECT_EQ(popcount(sw), 2u);
+  sw.reset(ctx, 3);
+  EXPECT_FALSE(sw.test(ctx, 3));
+  EXPECT_EQ(popcount(sw), 1u);
 }
 
 TEST(ControlWord, LeadingOneFindsLowestSetBit) {
+  RContext ctx(0, 1);
   ControlWord sw(64);
-  EXPECT_EQ(sw.leading_one(), ControlWord::kEmpty);
-  sw.set(42);
-  sw.set(17);
-  EXPECT_EQ(sw.leading_one(), 17u);
-  sw.reset(17);
-  EXPECT_EQ(sw.leading_one(), 42u);
+  EXPECT_EQ(sw.leading_one(ctx), ControlWord::kEmpty);
+  sw.set(ctx, 42);
+  sw.set(ctx, 17);
+  EXPECT_EQ(sw.leading_one(ctx), 17u);
+  sw.reset(ctx, 17);
+  EXPECT_EQ(sw.leading_one(ctx), 42u);
 }
 
 TEST(ControlWord, MultiWordScan) {
+  RContext ctx(0, 1);
   ControlWord sw(200);
-  sw.set(199);
-  EXPECT_EQ(sw.leading_one(), 199u);
-  sw.set(64);
-  EXPECT_EQ(sw.leading_one(), 64u);
-  sw.set(63);
-  EXPECT_EQ(sw.leading_one(), 63u);
+  sw.set(ctx, 199);
+  EXPECT_EQ(sw.leading_one(ctx), 199u);
+  sw.set(ctx, 64);
+  EXPECT_EQ(sw.leading_one(ctx), 64u);
+  sw.set(ctx, 63);
+  EXPECT_EQ(sw.leading_one(ctx), 63u);
 }
 
 TEST(ControlWord, RotatedOriginWrapsAround) {
+  RContext ctx(0, 1);
   ControlWord sw(128);
-  sw.set(10);
+  sw.set(ctx, 10);
   // Starting the scan above the only set bit must still find it.
-  EXPECT_EQ(sw.leading_one(100), 10u);
-  sw.set(100);
-  EXPECT_EQ(sw.leading_one(100), 100u);
-  EXPECT_EQ(sw.leading_one(101), 10u);
+  EXPECT_EQ(sw.leading_one(ctx, 100), 10u);
+  sw.set(ctx, 100);
+  EXPECT_EQ(sw.leading_one(ctx, 100), 100u);
+  EXPECT_EQ(sw.leading_one(ctx, 101), 10u);
 }
 
 TEST(ControlWord, OutOfRangeStartIsNormalized) {
+  RContext ctx(0, 1);
   ControlWord sw(16);
-  sw.set(7);
-  EXPECT_EQ(sw.leading_one(9999), 7u);
-}
-
-TEST(ControlWord, SingleWordNeverGrowsASummary) {
-  // m <= 64 is the paper's machine: one leading-one instruction, no
-  // summary level even when hierarchical construction is requested.
-  ControlWord sw(64, /*hierarchical=*/true);
-  EXPECT_FALSE(sw.hierarchical());
-  ControlWord big(65, /*hierarchical=*/true);
-  EXPECT_TRUE(big.hierarchical());
-  ControlWord flat(65, /*hierarchical=*/false);
-  EXPECT_FALSE(flat.hierarchical());
-}
-
-TEST(ControlWord, LeafBoundaryBits) {
-  // Bits 63/64/65 straddle the first leaf-word boundary: set/reset/
-  // leading-one must agree across it in both flat and hierarchical modes.
-  for (const bool hier : {false, true}) {
-    ControlWord sw(130, hier);
-    EXPECT_EQ(sw.hierarchical(), hier);
-    for (const u32 bit : {63u, 64u, 65u}) {
-      sw.set(bit);
-      EXPECT_TRUE(sw.test(bit)) << "bit=" << bit << " hier=" << hier;
-    }
-    EXPECT_EQ(sw.popcount(), 3u);
-    EXPECT_EQ(sw.leading_one(), 63u);
-    sw.reset(63);
-    EXPECT_FALSE(sw.test(63));
-    EXPECT_EQ(sw.leading_one(), 64u);
-    sw.reset(64);
-    EXPECT_EQ(sw.leading_one(), 65u);
-    EXPECT_EQ(sw.leading_one(66), 65u) << "wrap must cross the boundary";
-    sw.reset(65);
-    EXPECT_EQ(sw.leading_one(), ControlWord::kEmpty);
-    EXPECT_EQ(sw.popcount(), 0u);
-  }
+  sw.set(ctx, 7);
+  EXPECT_EQ(sw.leading_one(ctx, 9999), 7u);
 }
 
 TEST(ControlWord, SizeNotAMultipleOfWordSize) {
   // m = 130: three leaves, the last holding only two live bits — the top
   // bit must be reachable, and a rotated origin inside the ragged leaf
   // must wrap cleanly.
+  RContext ctx(0, 1);
   for (const bool hier : {false, true}) {
     ControlWord sw(130, hier);
-    sw.set(129);
-    EXPECT_EQ(sw.leading_one(), 129u);
-    EXPECT_EQ(sw.leading_one(129), 129u);
-    sw.set(0);
-    EXPECT_EQ(sw.leading_one(129), 129u);
-    sw.reset(129);
-    EXPECT_EQ(sw.leading_one(129), 0u) << "wrap from the ragged tail";
+    sw.set(ctx, 129);
+    EXPECT_EQ(sw.leading_one(ctx), 129u);
+    EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
+    sw.set(ctx, 0);
+    EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
+    sw.reset(ctx, 129);
+    EXPECT_EQ(sw.leading_one(ctx, 129), 0u) << "wrap from the ragged tail";
   }
 }
 
 TEST(ControlWord, RotatedOriginAcrossLeaves) {
+  RContext ctx(0, 1);
   for (const bool hier : {false, true}) {
     ControlWord sw(256, hier);
-    sw.set(5);
-    sw.set(200);
-    EXPECT_EQ(sw.leading_one(64), 200u);
-    EXPECT_EQ(sw.leading_one(200), 200u);
-    EXPECT_EQ(sw.leading_one(201), 5u);
-    sw.reset(200);
-    EXPECT_EQ(sw.leading_one(64), 5u);
-  }
-}
-
-TEST(ControlWord, HierarchicalMatchesFlatOnRandomOps) {
-  // Differential check: the summary level is an accelerator, not a
-  // semantic change.  Apply one deterministic op stream to a flat and a
-  // hierarchical word and require identical observable state throughout.
-  constexpr u32 kBits = 300;
-  ControlWord flat(kBits, /*hierarchical=*/false);
-  ControlWord hier(kBits, /*hierarchical=*/true);
-  u64 rng = 0x9e3779b97f4a7c15ull;
-  const auto next = [&rng] {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  for (int step = 0; step < 4000; ++step) {
-    const u32 bit = static_cast<u32>(next() % kBits);
-    if (next() % 3 != 0) {
-      flat.set(bit);
-      hier.set(bit);
-    } else {
-      flat.reset(bit);
-      hier.reset(bit);
-    }
-    const u32 start = static_cast<u32>(next() % kBits);
-    ASSERT_EQ(flat.leading_one(start), hier.leading_one(start))
-        << "step=" << step << " start=" << start;
-    ASSERT_EQ(flat.test(bit), hier.test(bit)) << "step=" << step;
-    ASSERT_EQ(flat.popcount(), hier.popcount()) << "step=" << step;
+    sw.set(ctx, 5);
+    sw.set(ctx, 200);
+    EXPECT_EQ(sw.leading_one(ctx, 64), 200u);
+    EXPECT_EQ(sw.leading_one(ctx, 200), 200u);
+    EXPECT_EQ(sw.leading_one(ctx, 201), 5u);
+    sw.reset(ctx, 200);
+    EXPECT_EQ(sw.leading_one(ctx, 64), 5u);
   }
 }
 
 TEST(ControlWord, HierarchicalSetVisibleUnderContention) {
   // Threads hammer set/reset on disjoint bit ranges spanning several
-  // leaves while a scanner polls leading_one(); every bit a thread leaves
-  // set must be found (the advisory summary may only cost retries).
+  // leaves; every bit a thread leaves set must be found (the advisory
+  // summary may only cost retries).
   ControlWord sw(256, /*hierarchical=*/true);
-  constexpr int kThreads = 4;
+  constexpr u32 kThreads = 4;
   std::vector<std::thread> ts;
-  for (int t = 0; t < kThreads; ++t) {
+  for (u32 t = 0; t < kThreads; ++t) {
     ts.emplace_back([&sw, t] {
-      const u32 base = static_cast<u32>(t) * 64;
+      RContext ctx(t, kThreads);
+      const u32 base = t * 64;
       for (int round = 0; round < 2000; ++round) {
         const u32 bit = base + static_cast<u32>(round % 64);
-        sw.set(bit);
-        sw.reset(bit);
+        sw.set(ctx, bit);
+        sw.reset(ctx, bit);
       }
-      sw.set(base + 63);  // leave exactly one survivor per range
+      sw.set(ctx, base + 63);  // leave exactly one survivor per range
     });
   }
   for (auto& t : ts) t.join();
-  for (int t = 0; t < kThreads; ++t) {
-    const u32 survivor = static_cast<u32>(t) * 64 + 63;
-    EXPECT_TRUE(sw.test(survivor));
-    EXPECT_EQ(sw.leading_one(survivor), survivor);
+  RContext ctx(0, 1);
+  for (u32 t = 0; t < kThreads; ++t) {
+    const u32 survivor = t * 64 + 63;
+    EXPECT_TRUE(sw.test(ctx, survivor));
+    EXPECT_EQ(sw.leading_one(ctx, survivor), survivor);
   }
-  EXPECT_EQ(sw.leading_one(), 63u);
-  EXPECT_EQ(sw.popcount(), 4u);
+  EXPECT_EQ(sw.leading_one(ctx), 63u);
+  EXPECT_EQ(popcount(sw), 4u);
 }
 
-// --------------------------------------------------------- Lock/Semaphore --
+// ------------------------------------------------------------------- Lock --
 
 TEST(SpinLock, MutualExclusionUnderContention) {
-  SpinLock lock;
+  SyncVar lock(1);  // the paper's lock: 1 = free
   i64 counter = 0;  // unprotected except by `lock`
-  constexpr int kThreads = 4;
+  constexpr u32 kThreads = 4;
   constexpr i64 kPer = 20000;
   std::vector<std::thread> team;
-  for (int t = 0; t < kThreads; ++t) {
-    team.emplace_back([&] {
+  for (u32 t = 0; t < kThreads; ++t) {
+    team.emplace_back([&, t] {
+      RContext ctx(t, kThreads, /*measure_phases=*/false);
       for (i64 i = 0; i < kPer; ++i) {
-        SpinLockGuard g(lock);
+        runtime::ctx_lock(ctx, lock);
         counter += 1;
+        runtime::ctx_unlock(ctx, lock);
       }
     });
   }
   for (auto& t : team) t.join();
   EXPECT_EQ(counter, kThreads * kPer);
-  EXPECT_FALSE(lock.is_locked());
+  EXPECT_EQ(lock.load(), 1) << "lock left held";
 }
 
 TEST(SpinLock, TryLock) {
-  SpinLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_TRUE(lock.is_locked());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
-TEST(Semaphore, CountingSemantics) {
-  Semaphore s(2);
-  EXPECT_TRUE(s.try_p());
-  EXPECT_TRUE(s.try_p());
-  EXPECT_FALSE(s.try_p());
-  s.v();
-  EXPECT_TRUE(s.try_p());
-  EXPECT_EQ(s.value(), 0);
-}
-
-TEST(Semaphore, ProducerConsumer) {
-  Semaphore items(0);
-  i64 consumed = 0;
-  std::thread consumer([&] {
-    for (int i = 0; i < 1000; ++i) {
-      items.p();
-      ++consumed;
-    }
-  });
-  for (int i = 0; i < 1000; ++i) items.v();
-  consumer.join();
-  EXPECT_EQ(consumed, 1000);
-  EXPECT_EQ(items.value(), 0);
+  RContext ctx(0, 1);
+  SyncVar lock(1);
+  EXPECT_TRUE(runtime::ctx_try_lock(ctx, lock));
+  EXPECT_EQ(lock.load(), 0);
+  EXPECT_FALSE(runtime::ctx_try_lock(ctx, lock));
+  runtime::ctx_unlock(ctx, lock);
+  EXPECT_TRUE(runtime::ctx_try_lock(ctx, lock));
+  runtime::ctx_unlock(ctx, lock);
 }
 
 // ----------------------------------------------------------------- misc --

@@ -31,7 +31,7 @@ using namespace selfsched;
 namespace {
 
 runtime::Strategy strategy_for_seed(u64 seed) {
-  switch (seed % 10) {
+  switch (seed % 8) {
     case 0: return runtime::Strategy::self();
     case 1:
       return runtime::Strategy::chunked(static_cast<i64>(seed % 7) + 2);
@@ -39,13 +39,27 @@ runtime::Strategy strategy_for_seed(u64 seed) {
     case 3: return runtime::Strategy::factoring();
     case 4: return runtime::Strategy::trapezoid();
     case 5: return runtime::Strategy::factoring2();
-    case 6:
-      // Derive a packed weight word from the seed; zero bytes read as 1.
-      return runtime::Strategy::weighted_factoring(seed * 0x9e3779b97f4a7c15ULL);
-    case 7: return runtime::Strategy::trapezoid_tuned();
-    case 8: return runtime::Strategy::random_steal(seed | 1);
+    case 6: return runtime::Strategy::trapezoid_tuned();
     default: return runtime::Strategy::adaptive();
   }
+}
+
+/// True iff `kind` names a runtime::Strategy::Kind that still exists; a
+/// repro file may carry a removed or corrupt value.
+bool known_kind(u32 kind) {
+  using K = runtime::Strategy::Kind;
+  switch (static_cast<K>(kind)) {
+    case K::kSelf:
+    case K::kChunk:
+    case K::kGSS:
+    case K::kFactoring:
+    case K::kTrapezoid:
+    case K::kFactoring2:
+    case K::kTrapezoidTuned:
+    case K::kAdaptive:
+      return true;
+  }
+  return false;
 }
 
 /// One fuzz case, fully determined: everything needed to rebuild the
@@ -59,7 +73,6 @@ struct FuzzCase {
   bool central_queue = false;
   u32 strategy_kind = 0;  // runtime::Strategy::Kind as u32
   i64 strategy_chunk = 1;
-  u64 strategy_aux = 0;   // wf_weights / rs_seed, by kind
   bool threads_engine = false;
 };
 
@@ -70,7 +83,6 @@ FuzzCase case_for_seed(u64 seed, u32 max_procs, u32 depth) {
   const runtime::Strategy s = strategy_for_seed(seed);
   c.strategy_kind = static_cast<u32>(s.kind);
   c.strategy_chunk = s.chunk;
-  c.strategy_aux = s.wf_weights != 0 ? s.wf_weights : s.rs_seed;
   c.pool_shards = 1 + static_cast<u32>(seed % 3);
   c.index_shards = 1 + static_cast<u32>(seed % 4);
   c.central_queue = seed % 7 == 0;
@@ -83,11 +95,6 @@ runtime::SchedOptions options_for(const FuzzCase& c) {
   opts.strategy.kind =
       static_cast<runtime::Strategy::Kind>(c.strategy_kind);
   opts.strategy.chunk = c.strategy_chunk;
-  if (opts.strategy.kind == runtime::Strategy::Kind::kWeightedFactoring) {
-    opts.strategy.wf_weights = c.strategy_aux;
-  } else if (opts.strategy.kind == runtime::Strategy::Kind::kRandomSteal) {
-    opts.strategy.rs_seed = c.strategy_aux != 0 ? c.strategy_aux : 1;
-  }
   opts.pool_shards = c.pool_shards;
   opts.index_shards = c.index_shards;
   opts.central_queue = c.central_queue;
@@ -121,12 +128,16 @@ vtime::ReproFile repro_for(const FuzzCase& c,
   put("central_queue", c.central_queue ? 1 : 0);
   put("strategy_kind", c.strategy_kind);
   put("strategy_chunk", static_cast<u64>(c.strategy_chunk));
-  put("strategy_aux", c.strategy_aux);
   put("engine", c.threads_engine ? 1 : 0);
   return r;
 }
 
-bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c) {
+/// Rebuild a case from a repro file's extra keys.  Returns false with an
+/// error naming the offending key in `why` when the file lacks context or
+/// carries a value the fuzzer cannot run.  Unknown keys (such as the
+/// retired strategy_aux) are ignored.
+bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c,
+                     std::string& why) {
   bool have_seed = false;
   for (const auto& [k, v] : r.extra) {
     if (k == "program_seed") {
@@ -144,15 +155,25 @@ bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c) {
       c.central_queue = parse_u64(v) != 0;
     } else if (k == "strategy_kind") {
       c.strategy_kind = static_cast<u32>(parse_u64(v));
+      if (!known_kind(c.strategy_kind)) {
+        why = "strategy_kind " + v + " is not a known strategy";
+        return false;
+      }
     } else if (k == "strategy_chunk") {
-      c.strategy_chunk = static_cast<i64>(parse_u64(v));
-    } else if (k == "strategy_aux") {
-      c.strategy_aux = parse_u64(v);
+      c.strategy_chunk = std::strtoll(v.c_str(), nullptr, 10);
+      if (c.strategy_chunk < 1) {
+        why = "strategy_chunk " + v + " is below 1";
+        return false;
+      }
     } else if (k == "engine") {
       c.threads_engine = parse_u64(v) != 0;
     }
   }
-  return have_seed && c.procs >= 1;
+  if (!have_seed || c.procs < 1) {
+    why = "lacks program context";
+    return false;
+  }
+  return true;
 }
 
 int run_replay(const std::string& path) {
@@ -162,9 +183,9 @@ int run_replay(const std::string& path) {
     return 2;
   }
   FuzzCase c;
-  if (!case_from_repro(*repro, c)) {
-    std::fprintf(stderr, "repro file %s lacks program context\n",
-                 path.c_str());
+  std::string why;
+  if (!case_from_repro(*repro, c, why)) {
+    std::fprintf(stderr, "repro file %s: %s\n", path.c_str(), why.c_str());
     return 2;
   }
   runtime::SchedOptions opts = options_for(c);

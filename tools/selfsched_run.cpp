@@ -41,7 +41,7 @@ void usage(const char* argv0, std::FILE* out) {
       "\n"
       "scheduling:\n"
       "  --strategy self|chunk:K|gss|factoring|trapezoid|factoring2|\n"
-      "             wfactoring[:HEXW]|tss2|randsteal[:SEED]|adaptive[:TAU]\n"
+      "             tss2|adaptive[:TAU]\n"
       "                           low-level Doall dispatch (default self)\n"
       "  --central-queue          single-list task pool (ablation)\n"
       "  --shards S               shards per loop list (default 1)\n"
@@ -124,19 +124,8 @@ bool parse_strategy(const std::string& s, runtime::Strategy* out) {
     *out = runtime::Strategy::trapezoid();
   } else if (s == "factoring2") {
     *out = runtime::Strategy::factoring2();
-  } else if (s.rfind("wfactoring:", 0) == 0) {
-    // Packed per-worker weight bytes, hex (e.g. wfactoring:0x04020101).
-    const u64 w = std::strtoull(s.c_str() + 11, nullptr, 0);
-    *out = runtime::Strategy::weighted_factoring(w);
-  } else if (s == "wfactoring") {
-    *out = runtime::Strategy::weighted_factoring();
   } else if (s == "tss2") {
     *out = runtime::Strategy::trapezoid_tuned();
-  } else if (s.rfind("randsteal:", 0) == 0) {
-    const u64 seed = std::strtoull(s.c_str() + 10, nullptr, 0);
-    *out = runtime::Strategy::random_steal(seed);
-  } else if (s == "randsteal") {
-    *out = runtime::Strategy::random_steal();
   } else if (s.rfind("adaptive:", 0) == 0) {
     const long tau = std::strtol(s.c_str() + 9, nullptr, 10);
     if (tau < 0) return false;
