@@ -6,7 +6,6 @@
 #pragma once
 
 #include <chrono>
-#include <thread>
 
 #include "common/check.hpp"
 #include "common/cpu_relax.hpp"
@@ -68,18 +67,18 @@ class RContext {
     sink_ = x;  // keep the result live
   }
 
-  /// A pause budget at the backoff escalation cap means the awaited event
-  /// is far overdue — almost always because its producer thread is
-  /// descheduled (oversubscribed box, sanitizer slowdown).  Donate the
-  /// timeslice instead of spinning through it: on a loaded single core a
-  /// cpu_relax loop burns the whole OS quantum the producer needs.
+  /// Spin budget of one wait, in pause units.  A wait that has relaxed this
+  /// long is far overdue — almost always because its producer thread is
+  /// descheduled (oversubscribed box, sanitizer slowdown) — so from then on
+  /// runtime::ctx_pause yields the core on every round instead of relaxing:
+  /// on a loaded core a cpu_relax loop burns the OS quantum the producer
+  /// needs.  The budget is per wait (Backoff::spent), not per pause, so a
+  /// tightly capped Doacross wait keeps polling often and still yields after
+  /// the same 1023 relaxed units as an idle wait capped at 1024.
   static constexpr Cycles kPauseYieldThreshold = 1024;
 
+  /// Relax for `c` pause units (backoff rounds, finite injected stalls).
   void pause(Cycles c) {
-    if (c >= kPauseYieldThreshold) {
-      std::this_thread::yield();
-      return;
-    }
     for (Cycles i = 0; i < c; ++i) cpu_relax();
   }
 

@@ -7,10 +7,12 @@
 
 #include <bit>
 #include <memory>
+#include <thread>
 
 #include "common/cacheline.hpp"
 #include "common/check.hpp"
 #include "exec/context.hpp"
+#include "exec/real_context.hpp"
 #include "runtime/fault.hpp"
 #include "sync/backoff.hpp"
 #include "sync/test_op.hpp"
@@ -21,6 +23,24 @@ namespace selfsched::runtime {
 using sync::Op;
 using sync::Test;
 
+/// One round of a spin-wait, and the only place a waiter gives up time.
+/// vtime charges the backoff's next pause as idle virtual cycles.  Real
+/// cores relax for it until the wait has spent its spin budget
+/// (RContext::kPauseYieldThreshold), then yield the core on every further
+/// round.  The backoff cap sets how often a waiter polls; the budget sets
+/// when it stops holding the core.
+template <exec::ExecutionContext C>
+void ctx_pause(C& ctx, sync::Backoff& backoff) {
+  const Cycles c = backoff.next();
+  if constexpr (!C::kIsSimulated) {
+    if (backoff.spent() > exec::RContext::kPauseYieldThreshold) {
+      std::this_thread::yield();
+      return;
+    }
+  }
+  ctx.pause(c);
+}
+
 /// Paper lock acquire: spin: {L = 1; Decrement}; if (failure) goto spin.
 /// Fault-injection seam: an armed kLockDelay fault pauses the matching
 /// worker here, perturbing lock-arrival order (compiles out without a plan).
@@ -30,7 +50,7 @@ void ctx_lock(C& ctx, typename C::Sync& l) {
   sync::Backoff backoff;
   while (!ctx.sync_op(l, Test::kEQ, 1, Op::kDecrement).success) {
     trace::bump(ctx, &trace::Counters::backoff_iterations);
-    ctx.pause(backoff.next());
+    ctx_pause(ctx, backoff);
   }
   trace::bump(ctx, &trace::Counters::lock_acquisitions);
 }

@@ -301,15 +301,16 @@ struct CancelState {
 
   // --- stall watchdog (docs/robustness.md; both budgets 0 = disarmed) ---
   // Progress is marked at chunk completion (the icount update): the last
-  // mark plus the budget is the rescue point.  On vtime the mark is a plain
-  // field — every write/read is engine-serialized, so rescues replay
-  // bit-identically; on threads it is a relaxed atomic on the host clock.
+  // mark plus the budget is the rescue point.  On vtime the mark is the
+  // virtual clock, on threads the host clock.  Both are relaxed atomics:
+  // vtime carriers run the code between sync ops concurrently, so the
+  // mark is written and read outside the engine's serialization.
   /// Virtual-time budget: rescue after this many vcycles without progress.
   Cycles stall_vcycles = 0;
   /// Threaded budget: rescue after this many host ns without progress.
   i64 stall_ns = 0;
-  /// vtime: virtual time of the last completed chunk (engine-serialized).
-  Cycles watch_vt = 0;
+  /// vtime: virtual time of the last completed chunk.
+  std::atomic<Cycles> watch_vt{0};
   /// Threads: host_now_ns() of the last completed chunk.
   std::atomic<i64> watch_host{0};
 };

@@ -275,14 +275,15 @@ inline bool deadline_expired(C& ctx, const SchedState<C>& st) {
 
 /// Has the stall watchdog's budget elapsed since the last progress mark?
 /// Disarmed (budget 0): constant false, no reads, bit-equal to the
-/// pre-watchdog path.  vtime: deterministic virtual-clock comparison
-/// against the engine-serialized mark.  Threads: host steady clock against
-/// the relaxed-atomic mark.
+/// pre-watchdog path.  vtime: virtual-clock comparison against the mark.
+/// Threads: host steady clock against the mark.
 template <exec::ExecutionContext C>
 inline bool watchdog_expired(C& ctx, const SchedState<C>& st) {
   if constexpr (C::kIsSimulated) {
     return st.cancel.stall_vcycles > 0 &&
-           ctx.now() > st.cancel.watch_vt + st.cancel.stall_vcycles;
+           ctx.now() >
+               st.cancel.watch_vt.load(std::memory_order_relaxed) +
+                   st.cancel.stall_vcycles;
   } else {
     (void)ctx;
     if (st.cancel.stall_ns <= 0) return false;
@@ -300,7 +301,9 @@ inline bool watchdog_expired(C& ctx, const SchedState<C>& st) {
 template <exec::ExecutionContext C>
 inline void watchdog_progress(C& ctx, SchedState<C>& st) {
   if constexpr (C::kIsSimulated) {
-    if (st.cancel.stall_vcycles > 0) st.cancel.watch_vt = ctx.now();
+    if (st.cancel.stall_vcycles > 0) {
+      st.cancel.watch_vt.store(ctx.now(), std::memory_order_relaxed);
+    }
   } else {
     (void)ctx;
     if (st.cancel.stall_ns > 0) {
@@ -674,7 +677,7 @@ SearchOutcome search_until(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
       cursor.last_list = WorkerCursor<C>::kNoList;
       exec::PhaseScope<C> idle(ctx, exec::Phase::kPoolIdle);
       trace::bump(ctx, &trace::Counters::backoff_iterations);
-      ctx.pause(backoff.next());
+      ctx_pause(ctx, backoff);
       continue;
     }
     if (!ctx_try_lock(ctx, st.pool.list_lock(i))) {
@@ -761,7 +764,7 @@ SearchOutcome search_until(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
     {
       exec::PhaseScope<C> idle(ctx, exec::Phase::kPoolIdle);
       trace::bump(ctx, &trace::Counters::backoff_iterations);
-      ctx.pause(backoff.next());
+      ctx_pause(ctx, backoff);
     }
   }
 }

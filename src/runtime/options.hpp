@@ -180,7 +180,10 @@ struct SchedOptions {
   /// Backoff cap for Doacross post/wait spinning.  Kept tight: the wait
   /// duration is the pipeline advance f*tau, and every cycle of overshoot
   /// stretches the whole chain — SDSS's point is to keep successive
-  /// iterations starting with the shortest possible delay.
+  /// iterations starting with the shortest possible delay.  The cap sets
+  /// only how often a waiter polls; when it gives up its core is the
+  /// per-wait spin budget of runtime::ctx_pause, so served namespaces keep
+  /// this cap too.
   Cycles doacross_backoff_max = 16;
 };
 

@@ -29,24 +29,27 @@
 
 namespace selfsched::runtime {
 
-/// Execute one iteration's body: charge/spin the modeled cost and invoke
-/// the user callback if present.
+/// The modeled cost of one iteration: its cost function, else the default.
+template <exec::ExecutionContext C>
+Cycles body_cost(const SchedState<C>& st, const program::InnermostDesc& d,
+                 const IndexVec& ivec, i64 j) {
+  return d.cost ? d.cost(ivec, j) : st.opts.default_body_cost;
+}
+
+/// Execute one iteration's body.  vtime charges the modeled cost (and runs
+/// the callback when asked to); real cores run the callback, or spin the
+/// modeled cost when there is none.  The cost is computed only where it is
+/// spent: a real body costs what it costs.
 template <exec::ExecutionContext C>
 void run_body(C& ctx, const SchedState<C>& st,
-              const program::InnermostDesc& d, const IndexVec& ivec, i64 j,
-              Cycles cost_override = -1) {
-  const Cycles cost = cost_override >= 0 ? cost_override
-                      : d.cost            ? d.cost(ivec, j)
-                                          : st.opts.default_body_cost;
+              const program::InnermostDesc& d, const IndexVec& ivec, i64 j) {
   if constexpr (C::kIsSimulated) {
-    ctx.work(cost);
+    ctx.work(body_cost(st, d, ivec, j));
     if (st.opts.run_bodies_in_sim && d.body) d.body(ctx.proc(), ivec, j);
+  } else if (d.body) {
+    d.body(ctx.proc(), ivec, j);
   } else {
-    if (d.body) {
-      d.body(ctx.proc(), ivec, j);
-    } else {
-      ctx.work(cost);
-    }
+    ctx.work(body_cost(st, d, ivec, j));
   }
 }
 
@@ -70,34 +73,34 @@ void run_doacross_iteration(C& ctx, SchedState<C>& st,
       deadline_check(ctx, st);
       if (cancel_requested(ctx, st)) throw fault::Cancelled{};
       trace::bump(ctx, &trace::Counters::backoff_iterations);
-      ctx.pause(backoff.next());
+      ctx_pause(ctx, backoff);
     }
     trace::event_end(ctx, tw, trace::EventKind::kDoacrossWait, icb.loop,
                      trace::ivec_hash(ivec, d.depth), j, dist);
   };
   wait_on(spec.distance);
   for (const i64 dist : spec.extra_distances) wait_on(dist);
-  const Cycles cost = d.cost ? d.cost(ivec, j) : st.opts.default_body_cost;
-  const Cycles head = static_cast<Cycles>(
-      std::llround(spec.post_fraction * static_cast<double>(cost)));
-  if constexpr (C::kIsSimulated) {
-    ctx.work(head);
-    if (st.opts.run_bodies_in_sim && d.body) d.body(ctx.proc(), ivec, j);
-  } else if (d.body) {
-    // Real bodies embed the dependence source themselves; we conservatively
-    // run the whole body before posting.
-    d.body(ctx.proc(), ivec, j);
-  } else {
-    ctx.work(head);
-  }
-  {
+  const auto post = [&] {
     exec::PhaseScope<C> sync_phase(ctx, exec::Phase::kIterSync);
     ctx.sync_op(icb.da_flags[j], Test::kNone, 0, Op::kStore, 1);
     audit::on_da_post(ctx, &icb, j);
+  };
+  if (!C::kIsSimulated && d.body) {
+    // Real bodies embed the dependence source themselves; we conservatively
+    // run the whole body before posting.
+    d.body(ctx.proc(), ivec, j);
+    post();
+    return;
   }
-  if (!d.body || C::kIsSimulated) {
-    ctx.work(cost - head);
+  const Cycles cost = body_cost(st, d, ivec, j);
+  const Cycles head = static_cast<Cycles>(
+      std::llround(spec.post_fraction * static_cast<double>(cost)));
+  ctx.work(head);
+  if (C::kIsSimulated && st.opts.run_bodies_in_sim && d.body) {
+    d.body(ctx.proc(), ivec, j);
   }
+  post();
+  ctx.work(cost - head);
 }
 
 /// Service an armed kWorkerStall fault at a body point.  A finite stall is
@@ -122,7 +125,7 @@ void stall_worker(C& ctx, SchedState<C>& st, const fault::FaultSpec& f,
     deadline_check(ctx, st);
     if (cancel_requested(ctx, st)) throw fault::Cancelled{};
     trace::bump(ctx, &trace::Counters::backoff_iterations);
-    ctx.pause(backoff.next());
+    ctx_pause(ctx, backoff);
   }
 }
 
@@ -323,7 +326,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
             break;
           }
           trace::bump(ctx, &trace::Counters::backoff_iterations);
-          ctx.pause(backoff.next());
+          ctx_pause(ctx, backoff);
         }
         if (released) {
           // After the decrement, unlike detach(): only this worker can

@@ -185,14 +185,6 @@ SubmitOutcome Service::submit(
   sub->opts.audit_abort = false;
   sub->opts.deadline_ms = 0;  // armed by the service, from submission time
   if (opts_.deterministic) sub->opts.record_schedule = true;
-  if (!opts_.deterministic) {
-    // Served Doacross waits escalate their backoff to the RContext yield
-    // threshold: a resident pool timeshares namespaces (and often cores),
-    // so a wait that overshoots the pipeline advance should donate its
-    // timeslice to the poster rather than spin.
-    sub->opts.doacross_backoff_max = std::max<Cycles>(
-        sub->opts.doacross_backoff_max, exec::RContext::kPauseYieldThreshold);
-  }
   // Arm the policy's stall watchdog on the namespace (tightest budget wins
   // if the tenant armed its own through sched).
   if (opts_.deterministic) {

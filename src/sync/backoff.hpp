@@ -16,6 +16,11 @@
 // a pure function of (initial, max, seed), and the default unseeded mode is
 // bit-identical to the pre-jitter Backoff — the spin paths above pay
 // nothing for the feature existing.
+//
+// spent() is the wait's running total of pause units handed out.  Real
+// cores yield the core once a wait has spent its spin budget
+// (runtime::ctx_pause), so how often a waiter polls (the cap) and when it
+// gives up its core (the budget) are separate decisions.
 #pragma once
 
 #include "common/rng.hpp"
@@ -42,22 +47,32 @@ class Backoff {
   constexpr Cycles next() {
     const Cycles env = cur_;
     cur_ = cur_ * 2 <= max_ ? cur_ * 2 : max_;
-    if (!jittered_) return env;
+    const Cycles draw = jittered_ ? jittered_draw(env) : env;
+    spent_ += draw;
+    return draw;
+  }
+
+  /// Pause units returned by next() since construction or reset().
+  constexpr Cycles spent() const { return spent_; }
+
+  constexpr void reset() {
+    cur_ = initial_;
+    attempt_ = 0;
+    spent_ = 0;
+  }
+
+ private:
+  constexpr Cycles jittered_draw(Cycles env) {
     const u64 h = mix64(jitter_seed_ ^ (attempt_++ * 0x9e3779b97f4a7c15ULL));
     const Cycles floor = env - env / 2;  // ceil(env / 2)
     const u64 span = static_cast<u64>(env / 2) + 1;
     return floor + static_cast<Cycles>(h % span);
   }
 
-  constexpr void reset() {
-    cur_ = initial_;
-    attempt_ = 0;
-  }
-
- private:
   Cycles cur_;
   Cycles initial_;
   Cycles max_;
+  Cycles spent_ = 0;
   u64 jitter_seed_ = 0;
   u64 attempt_ = 0;
   bool jittered_ = false;

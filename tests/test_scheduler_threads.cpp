@@ -3,6 +3,7 @@
 // right, not just the iteration count).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <ostream>
 
 #include "helpers.hpp"
@@ -147,6 +148,33 @@ TEST(ThreadsStress, IcbRecyclingAcrossTrapezoidAndDoacross) {
   const auto r = runtime::run_threads(tri, 4, tss);
   EXPECT_EQ(r.total.iterations, baselines::run_sequential(tri).iterations);
   EXPECT_GT(r.total.icbs_released, 1u);
+}
+
+TEST(ThreadsScheduler, RealBodiesNeverEvaluateTheCostModel) {
+  // A cost function models a body's time.  Real cores run the body itself,
+  // so the runtime must not evaluate the model there (Doall or Doacross);
+  // vtime charges it exactly once per iteration.
+  constexpr i64 kN = 300;
+  std::atomic<u64> calls{0};
+  const auto cost = [&calls](const IndexVec&, i64) -> Cycles {
+    calls.fetch_add(1);
+    return 50;
+  };
+  const auto body = [](ProcId, const IndexVec&, i64) {};
+  program::NodeSeq top;
+  top.push_back(program::doall("flat", kN, body, cost));
+  top.push_back(program::doacross("chain", kN, program::DoacrossSpec{1, 0.3},
+                                  body, cost));
+  const program::NestedLoopProgram prog(std::move(top));
+
+  const auto threads = runtime::run_threads(prog, 4);
+  EXPECT_EQ(threads.total.iterations, 2u * kN);
+  EXPECT_EQ(calls.load(), 0u);
+
+  calls = 0;
+  const auto vtime = runtime::run_vtime(prog, 4);
+  EXPECT_EQ(vtime.total.iterations, 2u * kN);
+  EXPECT_EQ(calls.load(), 2u * kN);
 }
 
 TEST(ThreadsScheduler, StatsAccounting) {

@@ -6,10 +6,12 @@
 // behaviors one at a time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/sequential.hpp"
@@ -221,6 +223,95 @@ TEST(Serve, DeadlineCancelsOnlyThatTenant) {
     EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
     const auto serial = baselines::run_sequential(*progs[i], 1, false);
     EXPECT_EQ(r.total.iterations, serial.iterations) << "neighbor " << i;
+  }
+}
+
+// --- threaded mode: oversubscribed Doacross -----------------------------
+
+u64 spin_mix(u64 x, i64 j) {
+  for (int i = 0; i < 400; ++i) {
+    x = x * 0xd1342543de82ef95ULL + static_cast<u64>(j);
+  }
+  return x;
+}
+
+/// Program k of the oversubscribed mix, writing its values into `out`
+/// (one slot per iteration, slot 0 the chain's seed).  Even k: a
+/// distance-1 chain shaped like examples/programs/doacross_chain.loop
+/// (source 30% into a COST 400 body) whose iteration j folds in j-1's
+/// value, so a wait that lets j run before j-1 posted yields a wrong value
+/// (and a race under TSan).  Odd k: a flat Doall of the same length.
+program::NestedLoopProgram oversubscribed_program(u64 k,
+                                                  std::vector<u64>& out) {
+  const i64 n = static_cast<i64>(out.size()) - 1;
+  const auto cost = [](const IndexVec&, i64) -> Cycles { return 400; };
+  program::NodeSeq top;
+  if (k % 2 == 0) {
+    top.push_back(program::doacross(
+        "chain", n, program::DoacrossSpec{1, 0.3},
+        [&out, k](ProcId, const IndexVec&, i64 j) {
+          const auto u = static_cast<std::size_t>(j);
+          out[u] = spin_mix(out[u - 1] + k, j);
+        },
+        cost));
+  } else {
+    top.push_back(program::doall(
+        "flat", n,
+        [&out, k](ProcId, const IndexVec&, i64 j) {
+          out[static_cast<std::size_t>(j)] = spin_mix(k, j);
+        },
+        cost));
+  }
+  return program::NestedLoopProgram(std::move(top));
+}
+
+TEST(Serve, OversubscribedDoacrossChainsMatchTheSerialOracle) {
+  // Twice as many resident workers as cores, so a chain's poster is often
+  // descheduled while its waiter spins.  Served waits keep the tenant's
+  // tight Doacross cap, so they reach the yield only through ctx_pause's
+  // per-wait spin budget; every chain must still finish and see each
+  // predecessor's value.
+  constexpr u64 kPrograms = 50;
+  constexpr i64 kN = 512;
+  const u32 cores = std::max(1u, std::thread::hardware_concurrency());
+  serve::ServeOptions so;
+  so.priorities = 1;
+  serve::Service svc(2 * cores, so);
+
+  std::vector<std::vector<u64>> outs(
+      kPrograms, std::vector<u64>(static_cast<std::size_t>(kN) + 1, 0));
+  std::vector<std::shared_ptr<const program::NestedLoopProgram>> progs;
+  for (u64 k = 0; k < kPrograms; ++k) {
+    progs.push_back(std::make_shared<const program::NestedLoopProgram>(
+        oversubscribed_program(k, outs[k])));
+  }
+  // Two tenants, each submitting its own half of the mix concurrently.
+  std::vector<serve::Handle> handles(kPrograms);
+  std::vector<std::thread> tenants;
+  for (u64 t = 0; t < 2; ++t) {
+    tenants.emplace_back([&, t] {
+      serve::SubmitOptions s;
+      s.tenant = t;
+      s.sched.audit = true;
+      for (u64 k = t * kPrograms / 2; k < (t + 1) * kPrograms / 2; ++k) {
+        auto out = svc.submit(progs[k], s);
+        EXPECT_TRUE(out.accepted()) << "program " << k;
+        handles[k] = out.handle;
+      }
+    });
+  }
+  for (auto& th : tenants) th.join();
+
+  for (u64 k = 0; k < kPrograms; ++k) {
+    if (!handles[k].valid()) continue;
+    const auto r = handles[k].await();
+    EXPECT_FALSE(r.failure.has_value()) << "program " << k;
+    EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
+    std::vector<u64> want(outs[k].size(), 0);
+    const auto serial =
+        baselines::run_sequential(oversubscribed_program(k, want), 1, true);
+    EXPECT_EQ(r.total.iterations, serial.iterations) << "program " << k;
+    EXPECT_EQ(outs[k], want) << "program " << k;
   }
 }
 

@@ -111,7 +111,7 @@ TEST(Stress, TaskPoolConcurrentAppendDeleteSearchLikeTraffic) {
               consumed.load() == kProducers * kPerProducer) {
             return;
           }
-          ctx.pause(backoff.next());
+          runtime::ctx_pause(ctx, backoff);
           continue;
         }
         if (!runtime::ctx_try_lock(ctx, pool.list_lock(i))) continue;

@@ -427,6 +427,109 @@ TEST(Backoff, UnseededModeIsUnchangedByTheJitterFeature) {
   EXPECT_EQ(b.next(), 16);
 }
 
+TEST(Backoff, SpentCountsEveryUnitHandedOut) {
+  Backoff b(2, 16);
+  EXPECT_EQ(b.spent(), 0);
+  Cycles sum = 0;
+  for (int k = 0; k < 8; ++k) sum += b.next();
+  EXPECT_EQ(sum, 2 + 4 + 8 + 16 * 5);
+  EXPECT_EQ(b.spent(), sum);
+  b.reset();
+  EXPECT_EQ(b.spent(), 0);
+  EXPECT_EQ(b.next(), 2);
+  EXPECT_EQ(b.spent(), 2);
+
+  // Jittered: the draws are counted, not the envelope they came from.
+  Backoff j(2, 16);
+  j.seed_jitter(1987);
+  Cycles drawn = 0;
+  Cycles envelope = 0;
+  Cycles env = 2;
+  for (int k = 0; k < 32; ++k) {
+    drawn += j.next();
+    envelope += env;
+    env = env * 2 <= 16 ? env * 2 : 16;
+  }
+  EXPECT_EQ(j.spent(), drawn);
+  EXPECT_LT(drawn, envelope);
+  j.reset();
+  EXPECT_EQ(j.spent(), 0);
+}
+
+/// A context that logs every pause it is asked for, so a test sees which
+/// ctx_pause rounds relaxed (or charged) and which yielded instead.
+template <bool kSimulated>
+class PauseLogContext {
+ public:
+  using Sync = SyncVar;
+  static constexpr bool kIsSimulated = kSimulated;
+
+  ProcId proc() const { return 0; }
+  u32 num_procs() const { return 1; }
+  SyncResult sync_op(Sync& v, Test t, i64 test_value, Op op,
+                     i64 operand = 0) {
+    return v.try_op(t, test_value, op, operand);
+  }
+  void work(Cycles) {}
+  void pause(Cycles c) { relaxed.push_back(c); }
+  exec::Phase set_phase(exec::Phase p) { return p; }
+  exec::WorkerStats& stats() { return stats_; }
+
+  std::vector<Cycles> relaxed;
+
+ private:
+  exec::WorkerStats stats_;
+};
+
+static_assert(exec::ExecutionContext<PauseLogContext<false>>);
+
+/// 1-based round on which a wait backing off over (1, cap) first yields,
+/// after checking that every relaxed round stayed within the cap and that
+/// the wait keeps yielding once it has started to.
+int first_yield_round(Cycles cap) {
+  PauseLogContext<false> ctx;
+  Backoff backoff(1, cap);
+  int first = 0;
+  for (int round = 1; round <= 200; ++round) {
+    const std::size_t before = ctx.relaxed.size();
+    runtime::ctx_pause(ctx, backoff);
+    const bool yielded = ctx.relaxed.size() == before;
+    if (first != 0) {
+      EXPECT_TRUE(yielded) << "round " << round;
+    }
+    if (yielded && first == 0) first = round;
+  }
+  Cycles relaxed = 0;
+  for (const Cycles c : ctx.relaxed) {
+    EXPECT_LE(c, cap);
+    relaxed += c;
+  }
+  // Both caps relax the same 1023 units before their first yield.
+  EXPECT_EQ(relaxed, 1023);
+  return first;
+}
+
+TEST(CtxPause, RealCoresYieldOnceTheWaitHasSpentItsSpinBudget) {
+  // Idle cap: 1 + 2 + ... + 512 = 1023 units over rounds 1-10, so round 11
+  // (the first 1024-unit draw) yields — the round the old at-the-cap rule
+  // yielded on.
+  EXPECT_EQ(first_yield_round(1024), 11);
+  // Doacross cap: 1 + 2 + 4 + 8, then 16 per round, polling every <= 16
+  // units; 1023 units are spent after round 67, so round 68 yields.
+  EXPECT_EQ(first_yield_round(16), 68);
+}
+
+TEST(CtxPause, VtimeChargesEveryRoundAndNeverYields) {
+  PauseLogContext<true> ctx;
+  Backoff backoff(1, 16);
+  Backoff twin(1, 16);
+  for (int round = 0; round < 200; ++round) {
+    runtime::ctx_pause(ctx, backoff);
+    ASSERT_EQ(ctx.relaxed.size(), static_cast<std::size_t>(round + 1));
+    EXPECT_EQ(ctx.relaxed.back(), twin.next());
+  }
+}
+
 TEST(SpinBarrier, RendezvousRepeats) {
   constexpr u32 kThreads = 4;
   SpinBarrier barrier(kThreads);

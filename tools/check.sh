@@ -33,13 +33,16 @@
 #                                  # TSan (threads-engine shard counters),
 #                                  # then audited under ASan, then the E17
 #                                  # acceptance thresholds (bench_shard_scale)
-#   tools/check.sh --serve         # resident-service suite: test_serve +
-#                                  # the full serve-stress run (16
-#                                  # submitters, 224 audited programs, P=8,
-#                                  # oracle-verified, fairness asserted)
-#                                  # under TSan, then under ASan with the
-#                                  # fairness report written to
-#                                  # serve_fairness.json
+#   tools/check.sh --serve         # resident-service suite: test_serve,
+#                                  # the oversubscribed served-Doacross
+#                                  # stress (2 x nproc workers, 50 audited
+#                                  # oracle-checked chains and flat loops)
+#                                  # repeated, and the full serve-stress
+#                                  # run (16 submitters, 224 audited
+#                                  # programs, P=8, oracle-verified,
+#                                  # fairness asserted) under TSan, then
+#                                  # under ASan with the fairness report
+#                                  # written to serve_fairness.json
 #   tools/check.sh --resilience    # self-healing serve suite (ISSUE 10):
 #                                  # the ServeResilience/FaultWatchdog/
 #                                  # Backoff-jitter tests plus the full
@@ -101,6 +104,13 @@ RESILIENCE_TESTS='ServeResilience|FaultWatchdog|Backoff|Serve\.'
 # (Strategy*), the tuner suite (Adaptive*/PortfolioSweep), the completion-
 # time model edge cases, and the stall-under-adaptation fault test.
 ADAPTIVE_TESTS='Strategy|Adaptive|PortfolioSweep|CompletionModel|FaultAdaptive'
+
+# The oversubscribed served-Doacross stress: twice as many resident workers
+# as cores, so chain posters get descheduled and the waits reach
+# ctx_pause's spin-budget yield.  test_serve runs it once; --serve repeats
+# it, since a lost wakeup or a racy post shows up only on some schedules.
+DOACROSS_STRESS='Serve.OversubscribedDoacrossChainsMatchTheSerialOracle'
+DOACROSS_STRESS_REPEAT=5
 
 # The sharded-dispatch filter: every suite name carries "Shard" — the
 # shard-math/ICB units (ShardMath/Shard.*), the differential matrix and
@@ -170,11 +180,15 @@ if [[ "$SERVE" == 1 ]]; then
   cmake --build build-tsan -j "$JOBS" --target test_serve serve-stress
   ./build-tsan/tests/test_serve
   ./build-tsan/tools/serve-stress
+  ./build-tsan/tests/test_serve --gtest_repeat="$DOACROSS_STRESS_REPEAT" \
+      --gtest_filter="$DOACROSS_STRESS"
   echo "== serve: ASan build, audited stress + fairness report =="
   cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target test_serve serve-stress
   ./build-asan/tests/test_serve
   ./build-asan/tools/serve-stress --json serve_fairness.json
+  ./build-asan/tests/test_serve --gtest_repeat="$DOACROSS_STRESS_REPEAT" \
+      --gtest_filter="$DOACROSS_STRESS"
   echo "== OK (serve) =="
   exit 0
 fi
