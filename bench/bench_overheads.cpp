@@ -4,10 +4,17 @@
 //       and the grab alone under 1, 2 and 4 contending threads
 //   O2: one SEARCH round (leading-one-detection + list walk + attach)
 //   O3: one EXIT + ENTER activation round trip
-// plus the end-to-end per-iteration cost of a scheduled flat loop.
+// plus the end-to-end per-iteration cost of a scheduled flat loop, swept over
+// its bound with the flat index and with one index shard per worker.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <thread>
+
 #include "exec/real_context.hpp"
+#include "exec/thread_team.hpp"
 #include "program/ast.hpp"
 #include "runtime/high_level.hpp"
 #include "runtime/scheduler.hpp"
@@ -159,19 +166,50 @@ void BM_O3_ExitEnter(benchmark::State& state) {
 BENCHMARK(BM_O3_ExitEnter);
 
 // --- end-to-end per-iteration cost of the full runtime ---
+/// One team per worker count, reused by every run of the sweep.
+exec::ThreadTeam& team_of(u32 procs) {
+  static std::map<u32, std::unique_ptr<exec::ThreadTeam>> teams;
+  auto& t = teams[procs];
+  if (t == nullptr) t = std::make_unique<exec::ThreadTeam>(procs);
+  return *t;
+}
+
+/// Full runtime on a flat `self` Doall of b iterations at COST 100 (the
+/// common iteration of perfbench's flat_fine): the crossover sweep behind
+/// runtime::kShardMinItersPerWorker.  Args are (b, P, G); G = 1 forces the
+/// flat index (index_shards = 0), G = P forces one shard per worker.
 void BM_EndToEnd_FlatLoopPerIteration(benchmark::State& state) {
   const i64 n = state.range(0);
+  const auto procs = static_cast<u32>(state.range(1));
+  const auto shards = static_cast<u32>(state.range(2));
+  auto prog = workloads::flat_doall(
+      n, [](const IndexVec&, i64) -> Cycles { return 100; });
+  runtime::SchedOptions opts;
+  opts.measure_phases = false;
+  opts.strategy = runtime::Strategy::self();
+  opts.index_shards = shards == 1 ? 0 : shards;
+  exec::ThreadTeam& team = team_of(procs);
   for (auto _ : state) {
-    auto prog = workloads::flat_doall(
-        n, [](const IndexVec&, i64) -> Cycles { return 0; });
-    runtime::SchedOptions opts;
-    opts.measure_phases = false;
-    opts.strategy = runtime::Strategy::gss();
-    const auto r = runtime::run_threads(prog, 1, opts);
+    const auto r = runtime::run_threads_on(team, prog, opts);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * n);
+  state.counters["ns_per_iter"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_EndToEnd_FlatLoopPerIteration)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_EndToEnd_FlatLoopPerIteration)
+    ->ArgNames({"b", "P", "G"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      const i64 cores = std::max(1u, std::thread::hardware_concurrency());
+      for (i64 n = 256; n <= 65536; n *= 2) {
+        b->Args({n, 1, 1});
+        if (cores > 1) {
+          b->Args({n, cores, 1});
+          b->Args({n, cores, cores});
+        }
+      }
+    })
+    ->UseRealTime();
 
 }  // namespace

@@ -52,10 +52,10 @@ constexpr u32 live_shards(i64 b, u32 g_count) {
 }
 
 /// The shard a worker probes first.  Block mapping: consecutive processors
-/// share a home shard, and processor 0 always homes shard 0 — the Doacross
-/// liveness argument (docs/sharding.md) relies on every shard having at
-/// least one home worker when P >= G, and on home shards being probed
-/// before stealing.
+/// share a home shard, processor 0 always homes shard 0, and every shard
+/// has at least one home worker when P >= G.  (Doacross instances never
+/// shard: a chain would need a worker homed on shard 0 to start it, and a
+/// served namespace need not have one; docs/sharding.md.)
 constexpr u32 home_shard_of(ProcId proc, u32 procs, u32 g_count) {
   if (procs == 0) return 0;
   return static_cast<u32>((static_cast<u64>(proc) * g_count) / procs);

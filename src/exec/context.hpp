@@ -26,7 +26,8 @@ namespace selfsched::exec {
 /// useful-work and wait buckets needed to compute utilization.
 enum class Phase : u32 {
   kBody,          // useful work: executing loop-body iterations (τ)
-  kIterSync,      // O1: index fetch&add + icount update per iteration
+  kIterSync,      // O1: the index grab per chunk, plus the icount update
+                  // (vtime: per chunk; threads: once per attachment)
   kSearch,        // O2: SW leading-one-detection + list walk + ivec copy
   kExitEnter,     // O3: EXIT level computation + ENTER instance activation
   kPoolIdle,      // spinning in SEARCH while the task pool is empty

@@ -294,8 +294,9 @@ inline bool watchdog_expired(C& ctx, const SchedState<C>& st) {
 }
 
 /// Mark namespace progress for the stall watchdog.  Called at chunk
-/// completion (the icount update — the unit the paper's overhead analysis
-/// accounts in, and the only point where the namespace provably advanced).
+/// completion (the unit the paper's overhead analysis accounts in, and the
+/// only point where the namespace provably advanced) — after every chunk,
+/// even on threads, where the icount update itself is deferred.
 /// A disarmed watchdog skips the write entirely, and an armed one adds no
 /// sync op, so the vtime trajectory is unchanged either way.
 template <exec::ExecutionContext C>
@@ -452,6 +453,52 @@ Level exit_from(C& ctx, SchedState<C>& st, LoopId i, Level from_level,
 //                                     child loop: activate index 1 only.
 // ---------------------------------------------------------------------------
 
+/// Fewest iterations per worker at which the threads engine gives a Doall
+/// instance one index shard per worker.  Set from the crossover sweep
+/// BM_EndToEnd_FlatLoopPerIteration in bench/bench_overheads.cpp (`self`,
+/// COST 100, b = 256 … 65536; EXPERIMENTS.md E8): on a 4-vCPU Xeon VM,
+/// G = P beat the flat index on 9 of 10 paired runs at P = 4 already at
+/// the sweep's smallest bound, b = 256 (−16% per iteration), and on 10 of
+/// 10 from b = 1024 up.
+inline constexpr i64 kShardMinItersPerWorker = 64;
+
+/// How many index shards ENTER gives an instance of `b` iterations.
+///   * Doacross instances always get the flat index.  Their liveness needs
+///     the chain's head iteration to be grabbed first, and with shards only
+///     a worker homed on shard 0 does that — a served namespace need not
+///     have one (docs/sharding.md, "Doacross liveness").
+///   * index_shards > 1 forces that many shards (clamped) on both engines;
+///     index_shards == 0 forces the flat index on both.
+///   * The default (1) is the engine's choice.  vtime keeps the paper's
+///     flat index.  On real cores a large instance under a fixed-chunk
+///     strategy (self, chunk:k, adaptive) gets G = P, so each grab is a
+///     fetch&add on the worker's own shard line.  The step-sized kinds keep
+///     the flat index: at G = P a shard has one home worker, whose first
+///     grab would take its whole shard — a static block schedule.
+template <exec::ExecutionContext C>
+u32 index_shards_for(C& ctx, const SchedOptions& opts, bool doacross, i64 b) {
+  if (doacross || opts.index_shards == 0) return 1;
+  if (opts.index_shards > 1) {
+    return std::min(opts.index_shards, shard::kMaxIndexShards);
+  }
+  if constexpr (C::kIsSimulated) {
+    (void)ctx;
+    (void)b;
+    return 1;
+  } else {
+    const Strategy::Kind k = opts.strategy.kind;
+    const bool fixed_chunk = k == Strategy::Kind::kSelf ||
+                             k == Strategy::Kind::kChunk ||
+                             k == Strategy::Kind::kAdaptive;
+    const u32 procs = std::min(ctx.num_procs(), shard::kMaxIndexShards);
+    if (!fixed_chunk || procs < 2 ||
+        b < kShardMinItersPerWorker * static_cast<i64>(procs)) {
+      return 1;
+    }
+    return procs;
+  }
+}
+
 template <exec::ExecutionContext C>
 void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
            IndexVec& ivec) {
@@ -544,9 +591,9 @@ void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
                    static_cast<Cycles>(d->depth));
       }
       Icb<C>* icb = st.icbs.acquire(ctx);
-      icb->init(cur, b, ivec, d->doacross.has_value(), d->depth,
-                std::min(std::max(1u, st.opts.index_shards),
-                         shard::kMaxIndexShards));
+      const bool doacross = d->doacross.has_value();
+      icb->init(cur, b, ivec, doacross, d->depth,
+                index_shards_for(ctx, st.opts, doacross, b));
       icb->pool_list = st.list_of(cur, ctx.proc());
       ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kIncrement);
       st.pool.append(ctx, icb->pool_list, icb);

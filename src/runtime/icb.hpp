@@ -36,7 +36,7 @@
 
 namespace selfsched::runtime {
 
-/// One shard of a sharded low-level index (SchedOptions::index_shards > 1):
+/// One shard of a sharded low-level index (runtime::index_shards_for):
 /// private dispatch counters plus the contiguous sub-range [lo, hi] of the
 /// instance's iteration space this shard owns.  `index` starts at `lo` and
 /// is driven by the same strategy chunk rule as the flat counter, gated on
@@ -90,8 +90,8 @@ struct Icb {
   std::unique_ptr<typename C::Sync[]> da_flags;
   i64 da_flags_cap = 0;
 
-  /// Sharded low-level index state (SchedOptions::index_shards > 1; see
-  /// docs/sharding.md).  `num_shards` is the configured G; `live_shards`
+  /// Sharded low-level index state (runtime::index_shards_for; see
+  /// docs/sharding.md).  `num_shards` is the instance's G; `live_shards`
   /// counts the non-empty shards (min(bound, G)) that participate in the
   /// completion election; `sched_done` counts shards a worker has observed
   /// drained — the low level is exhausted exactly when sched_done ==

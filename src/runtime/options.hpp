@@ -129,15 +129,25 @@ struct SchedOptions {
   /// same loop.  1 reproduces the paper's layout exactly.
   u32 pool_shards = 1;
 
-  /// Shards of each instance's low-level `index` counter (>= 1, clamped to
-  /// shard::kMaxIndexShards).  With G > 1 the iteration range [1, b] is
-  /// split into G contiguous sub-ranges, each with its own index/aux sync
-  /// vars; a worker dispatches from its home shard (block mapping by
-  /// processor id) and steals from sibling shards only when its home is
-  /// drained.  Spreads the per-instance grab traffic that a single shared
-  /// index funnels through one location — the distributed-chunk-calculation
-  /// idea (arXiv:2101.07050); see docs/sharding.md.  1 reproduces the flat
-  /// paper layout exactly (same sync-op and cost sequence).
+  /// Shards of each Doall instance's low-level `index` counter.  With
+  /// G > 1 the iteration range [1, b] is split into G contiguous
+  /// sub-ranges, each with its own index/aux sync vars; a worker dispatches
+  /// from its home shard (block mapping by processor id) and steals from
+  /// sibling shards only when its home is drained.  Spreads the
+  /// per-instance grab traffic that a single shared index funnels through
+  /// one location — the distributed-chunk-calculation idea
+  /// (arXiv:2101.07050); see docs/sharding.md.
+  ///   1 (default)  the engine chooses (runtime::index_shards_for).  vtime:
+  ///                the flat paper layout, exactly (same sync-op and cost
+  ///                sequence).  threads: a Doall instance of at least
+  ///                kShardMinItersPerWorker iterations per worker under
+  ///                self, chunk:k or adaptive gets one shard per worker;
+  ///                every other instance keeps the flat index.
+  ///   0            the flat index on both engines.
+  ///   G > 1        G shards (clamped to shard::kMaxIndexShards) on both
+  ///                engines.
+  /// Doacross instances always keep the flat index: a chain's liveness
+  /// needs its head iterations granted first (docs/sharding.md).
   u32 index_shards = 1;
 
   /// Failure policy after a cancelled run (see OnBodyError).

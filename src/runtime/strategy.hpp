@@ -403,7 +403,7 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
   return d;
 }
 
-/// Sharded low-level dispatch (SchedOptions::index_shards > 1; see
+/// Sharded low-level dispatch (runtime::index_shards_for; see
 /// docs/sharding.md).  The worker probes its home shard first (block mapping
 /// by processor id), then siblings in ascending rotation — steal-on-
 /// exhaustion: a cross-shard probe only happens once the previous shard was
@@ -413,6 +413,9 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
 /// final iteration is granted exactly once (same monotone-index argument as
 /// the flat gate), that grab increments `sched_done`, and the increment that
 /// observes live_shards - 1 wins the election.
+///
+/// On real cores a probe first reads the shard's index and skips the shard
+/// when it is already past hi, so probing a drained shard writes nothing.
 ///
 /// vtime topology model: a probe of a shard homed outside the worker's
 /// topology group is charged cross_group_sync_extra, and every steal probe
@@ -443,6 +446,11 @@ Dispatch dispatch_sharded(C& ctx, Icb<C>& icb, const Strategy& s) {
               shard::shard_home_group(g, g_count, cm.topo_groups)) {
         ctx.charge(cm.cross_group_sync_extra);
       }
+    } else if (sh.index.load() > sh.hi) {
+      // Drained (the index only grows): skip it with a read.  A failed
+      // claim would still write the line, and late in an instance every
+      // stealer probes the same drained shards on every grab.
+      continue;
     }
     Dispatch d =
         dispatch_range(ctx, icb, sh.index, sh.aux, sh.lo, sh.hi, sprocs, s);

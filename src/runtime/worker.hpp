@@ -5,7 +5,8 @@
 //   start:  grabs iterations with {index <= b ; Fetch&Add(k)} (strategy.hpp;
 //           with a sharded index the grab comes from the worker's home shard
 //           or a stolen sibling, docs/sharding.md);
-//           on failure detaches ({pcount; Decrement}) and SEARCHes;
+//           on failure publishes its completions and detaches
+//           ({pcount; Decrement}), then SEARCHes;
 //           if it grabbed the final iteration (sharded: won the drained-
 //           shard completion election) it DELETEs the ICB from its
 //           list — the ICB stays alive for the processors still executing
@@ -14,9 +15,21 @@
 //           iteration j-d, execute the pre-source segment, post flag j,
 //           execute the tail segment);
 //   update: adds the completed count to icount; the processor whose update
-//           reaches the bound activates the successors (EXIT + ENTER),
-//           waits for pcount to drain to 1 ({pcount == 1 ; Decrement}),
-//           releases the ICB, and SEARCHes for new work.
+//           reaches the bound is the completer (complete_instance): it
+//           activates the successors (EXIT + ENTER), waits for pcount to
+//           drain to 1 ({pcount == 1 ; Decrement}), releases the ICB, and
+//           SEARCHes for new work.
+//
+// The grab and the update are the two sync ops per chunk that make up the
+// paper's O1.  vtime keeps both as written: one update per chunk, against
+// the flat index.  On real cores each is a write to a line every worker
+// writes, so the threads engine defers the update: a worker counts its
+// completions locally and publishes them once per attachment, at the points
+// where it stops taking work from the instance (a failed grab, a yield, an
+// aborted chunk).  Together with the per-worker index shards that ENTER
+// gives large fixed-chunk Doall instances (index_shards_for), that leaves a
+// worker no shared write per iteration (docs/scheduling.md, "Completion
+// count").
 #pragma once
 
 #include <cmath>
@@ -140,6 +153,102 @@ void detach(C& ctx, Icb<C>* ip) {
   audit::on_detach_fetched(ctx, before);
 }
 
+/// The completion path, run by the worker whose update brought icount to
+/// the bound: activate the successors (EXIT + ENTER), wait for every other
+/// attached processor to detach, release the ICB and count the instance
+/// out of `outstanding`.  The completer's own attachment is the pcount unit
+/// its drain consumes.  Returns true when the release ended the program.
+///
+/// Cancellation can strand a peer's attachment (e.g. a worker wedged in a
+/// body), so each drain round also polls `done`; on cancellation the
+/// completer detaches without releasing — the post-join drain reclaims the
+/// instance.
+template <exec::ExecutionContext C>
+bool complete_instance(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor) {
+  const program::InnermostDesc& d = st.prog->loops[cursor.i];
+  {
+    const Cycles tx = trace::event_begin(ctx);
+    exec::PhaseScope<C> phase(ctx, exec::Phase::kExitEnter);
+    const Level lev = exit_from(ctx, st, cursor.i, d.depth, cursor.ivec);
+    if (lev != 0) {
+      const LoopId targ = d.at_level(lev).next;
+      SS_DCHECK(targ != kNoLoop);
+      enter(ctx, st, targ, lev, cursor.ivec);
+    }
+    trace::event_end(ctx, tx, trace::EventKind::kExit, cursor.i,
+                     trace::ivec_hash(cursor.ivec, d.depth),
+                     static_cast<i64>(lev), 0);
+  }
+  const Cycles tt = trace::event_begin(ctx);
+  exec::PhaseScope<C> phase(ctx, exec::Phase::kTeardown);
+  sync::Backoff backoff(1, st.opts.idle_backoff_max);
+  bool released = true;
+  while (!ctx.sync_op(cursor.ip->pcount, Test::kEQ, 1, Op::kDecrement)
+              .success) {
+    deadline_check(ctx, st);
+    if (cancel_requested(ctx, st)) {
+      detach(ctx, cursor.ip);
+      released = false;
+      break;
+    }
+    trace::bump(ctx, &trace::Counters::backoff_iterations);
+    ctx_pause(ctx, backoff);
+  }
+  bool terminated = false;
+  if (released) {
+    // After the decrement, unlike detach(): only this worker can release
+    // the ICB now, and it has not done so yet.
+    audit::on_detach(ctx, cursor.ip);
+    charge_cost<C>(ctx, &vtime::CostModel::icb_release);
+    st.icbs.release(ctx, cursor.ip);
+    ctx.stats().icbs_released++;
+    const i64 before =
+        ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kDecrement).fetched;
+    SS_DCHECK(before >= 1);
+    if (before == 1) {
+      ctx.sync_op(st.done, Test::kNone, 0, Op::kStore, 1);
+      audit::on_terminate(ctx);
+      terminated = true;
+    }
+  }
+  trace::event_end(ctx, tt, trace::EventKind::kTeardown, cursor.i,
+                   trace::ivec_hash(cursor.ivec, d.depth), 0, 0);
+  return terminated;
+}
+
+/// The update step: add the worker's `pending` completed iterations of the
+/// attached instance to icount ({icount ; Fetch&Add(n)}) and zero them.
+/// Returns true when this update reached the bound: the caller is then the
+/// completer and must run complete_instance.  Nothing to publish costs no
+/// sync op.
+template <exec::ExecutionContext C>
+bool publish_completions(C& ctx, WorkerCursor<C>& cursor, i64& pending) {
+  if (pending == 0) return false;
+  exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
+  const i64 before =
+      ctx.sync_op(cursor.ip->icount, Test::kNone, 0, Op::kFetchAdd, pending)
+          .fetched;
+  audit::on_complete(ctx, cursor.ip, before, pending);
+  const bool completer = before + pending == cursor.b;
+  pending = 0;
+  return completer;
+}
+
+/// Stop taking work from the attached instance — a failed grab, a yield or
+/// an aborted chunk.  A worker publishes before it detaches, and a publish
+/// that reaches the bound makes it the completer, whose completion path
+/// consumes its attachment.  Returns true when that path ended the program.
+template <exec::ExecutionContext C>
+bool leave_instance(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
+                    i64& pending) {
+  if (publish_completions(ctx, cursor, pending)) {
+    return complete_instance(ctx, st, cursor);
+  }
+  exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
+  detach(ctx, cursor.ip);
+  return false;
+}
+
 /// How a worker_session ended.
 enum class SessionExit : u32 {
   kDone,   // the program terminated (or was cancelled and drained)
@@ -151,25 +260,30 @@ enum class SessionExit : u32 {
 /// like a normal one), or `should_yield` fires.  Yield points sit only
 /// where the worker is detachable without abandoning obligations: inside
 /// SEARCH (already detached) and at the top of the dispatch cycle, where
-/// detaching is exactly the failed-grab path.  Grabbed iterations always
-/// run to completion before a yield, so every Doacross dependence source
-/// that has been dispatched is posted by a worker that is still executing —
-/// a yielding team cannot strand a posted-on flag (see docs/serving.md for
-/// the cross-program liveness argument).
+/// leaving is exactly the failed-grab path (publish, then complete or
+/// detach).  Grabbed iterations always run to completion before a yield,
+/// so every Doacross dependence source that has been dispatched is posted
+/// by a worker that is still executing — a yielding team cannot strand a
+/// posted-on flag (see docs/serving.md for the cross-program liveness
+/// argument).
 template <exec::ExecutionContext C, typename YieldFn>
 SessionExit worker_session(C& ctx, SchedState<C>& st,
                            YieldFn&& should_yield) {
   WorkerCursor<C> cursor;
   cursor.ivec.resize(st.prog->max_depth);
+  // Iterations this worker completed in the attached instance and has not
+  // yet added to icount.  vtime publishes them after every chunk; threads
+  // hold them until the worker leaves the instance (leave_instance).
+  i64 pending = 0;
 
   SearchOutcome found = search_until(ctx, st, cursor, should_yield);
   while (found == SearchOutcome::kAttached) {
     if (should_yield()) {
-      // Detach exactly like a failed grab; the instance keeps its other
-      // processors and stays findable in the pool.
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      detach(ctx, cursor.ip);
-      return SessionExit::kYield;
+      // Leave exactly like a failed grab; the instance keeps its other
+      // processors and stays findable in the pool.  If this worker's
+      // publish completes the instance, it runs the completion path first.
+      return leave_instance(ctx, st, cursor, pending) ? SessionExit::kDone
+                                                      : SessionExit::kYield;
     }
     const program::InnermostDesc& d = st.prog->loops[cursor.i];
     const Strategy& strat =
@@ -186,11 +300,8 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
       grab = dispatch_iterations(ctx, *cursor.ip, strat);
     }
     if (grab.count == 0) {
-      // Instance fully scheduled: detach and look for other work.
-      {
-        exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-        detach(ctx, cursor.ip);
-      }
+      // Instance fully scheduled: leave it and look for other work.
+      leave_instance(ctx, st, cursor, pending);
       found = search_until(ctx, st, cursor, should_yield);
       continue;
     }
@@ -273,80 +384,22 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
                         adaptive_clock(ctx) - chunk_t0);
     }
     if (aborted) {
-      // The abandoned grab never reaches icount: the instance can no longer
-      // complete, so the post-join drain reclaims it.  Detach and head for
-      // the exit through SEARCH.
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      detach(ctx, cursor.ip);
+      // The abandoned grab never reaches icount (this worker's earlier
+      // chunks still do): the instance can no longer complete, so the
+      // post-join drain reclaims it.  Leave it and head for the exit
+      // through SEARCH.
+      leave_instance(ctx, st, cursor, pending);
       found = search_until(ctx, st, cursor, should_yield);
       continue;
     }
 
     // --- update: count completions; the last completer activates ---
-    i64 completed_before;
-    {
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      completed_before = ctx.sync_op(cursor.ip->icount, Test::kNone, 0,
-                                     Op::kFetchAdd, grab.count)
-                             .fetched;
-      audit::on_complete(ctx, cursor.ip, completed_before, grab.count);
-    }
+    pending += grab.count;
+    const bool completer =
+        C::kIsSimulated && publish_completions(ctx, cursor, pending);
     watchdog_progress(ctx, st);
-    if (completed_before + grab.count == cursor.b) {
-      {
-        const Cycles tx = trace::event_begin(ctx);
-        exec::PhaseScope<C> phase(ctx, exec::Phase::kExitEnter);
-        const Level lev =
-            exit_from(ctx, st, cursor.i, d.depth, cursor.ivec);
-        if (lev != 0) {
-          const LoopId targ = d.at_level(lev).next;
-          SS_DCHECK(targ != kNoLoop);
-          enter(ctx, st, targ, lev, cursor.ivec);
-        }
-        trace::event_end(ctx, tx, trace::EventKind::kExit, cursor.i,
-                         trace::ivec_hash(cursor.ivec, d.depth),
-                         static_cast<i64>(lev), 0);
-      }
-      // Wait for every other attached processor to detach, then release.
-      // Cancellation can strand a peer's attachment (e.g. a worker wedged
-      // in a body), so each spin round also polls `done`; on cancellation
-      // the completer detaches without releasing — the post-join drain
-      // reclaims the instance — and drains out through SEARCH.
-      {
-        const Cycles tt = trace::event_begin(ctx);
-        exec::PhaseScope<C> phase(ctx, exec::Phase::kTeardown);
-        sync::Backoff backoff(1, st.opts.idle_backoff_max);
-        bool released = true;
-        while (!ctx.sync_op(cursor.ip->pcount, Test::kEQ, 1, Op::kDecrement)
-                    .success) {
-          deadline_check(ctx, st);
-          if (cancel_requested(ctx, st)) {
-            detach(ctx, cursor.ip);
-            released = false;
-            break;
-          }
-          trace::bump(ctx, &trace::Counters::backoff_iterations);
-          ctx_pause(ctx, backoff);
-        }
-        if (released) {
-          // After the decrement, unlike detach(): only this worker can
-          // release the ICB now, and it has not done so yet.
-          audit::on_detach(ctx, cursor.ip);
-          charge_cost<C>(ctx, &vtime::CostModel::icb_release);
-          st.icbs.release(ctx, cursor.ip);
-          ctx.stats().icbs_released++;
-          const i64 before =
-              ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kDecrement)
-                  .fetched;
-          SS_DCHECK(before >= 1);
-          if (before == 1) {
-            ctx.sync_op(st.done, Test::kNone, 0, Op::kStore, 1);
-            audit::on_terminate(ctx);
-          }
-        }
-        trace::event_end(ctx, tt, trace::EventKind::kTeardown, cursor.i,
-                         trace::ivec_hash(cursor.ivec, d.depth), 0, 0);
-      }
+    if (completer) {
+      complete_instance(ctx, st, cursor);
       found = search_until(ctx, st, cursor, should_yield);
     }
     // else: keep scheduling from the same ICB (goto start).

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <memory>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "baselines/sequential.hpp"
 #include "helpers.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/high_level.hpp"
 #include "serve/service.hpp"
 #include "workloads/programs.hpp"
 
@@ -311,6 +313,139 @@ TEST(Serve, OversubscribedDoacrossChainsMatchTheSerialOracle) {
     const auto serial =
         baselines::run_sequential(oversubscribed_program(k, want), 1, true);
     EXPECT_EQ(r.total.iterations, serial.iterations) << "program " << k;
+    EXPECT_EQ(outs[k], want) << "program " << k;
+  }
+}
+
+TEST(Serve, ShardedIndexChainsAndFlatLoopsComplete) {
+  // A closed loop of served chains and flat loops with index_shards = 4,
+  // shaped like perfbench's serve_mix (3 workers, 2 tenants, 6 in flight).
+  // A sharded chain needs its head iteration grabbed first, which only a
+  // worker homed on shard 0 does, and a served namespace need not have
+  // one: its other workers then spin on heads nobody grabs.  Doacross
+  // instances now keep the flat index whatever G is.  The deadline turns a
+  // hang into a failure; every result is checked against the serial
+  // oracle.
+  constexpr i64 kN = 512;
+  constexpr u32 kDepth = 6;
+  constexpr u64 kOps = 3000;
+  serve::ServeOptions so;
+  so.priorities = 1;
+  so.max_queue_depth = 4 * kDepth;
+  so.max_tenants = 2;
+  serve::Service svc(3, so);
+
+  // Shape k % 2: 0 is the chain, 1 the flat loop (oversubscribed_program).
+  std::array<std::vector<u64>, 2> want;
+  for (u64 k = 0; k < 2; ++k) {
+    want[k].assign(static_cast<std::size_t>(kN) + 1, 0);
+    baselines::run_sequential(oversubscribed_program(k, want[k]), 1, true);
+  }
+  std::vector<std::vector<u64>> outs(
+      kDepth, std::vector<u64>(static_cast<std::size_t>(kN) + 1, 0));
+  struct InFlight {
+    u32 slot;
+    u64 shape;
+    serve::Handle handle;
+  };
+  std::deque<InFlight> q;
+  u64 submitted = 0;
+  const auto submit = [&](u32 slot) {
+    const u64 shape = submitted % 2;
+    serve::SubmitOptions s;
+    s.tenant = submitted / 2 % 2;
+    s.deadline_ms = 5000;
+    s.sched.index_shards = 4;
+    std::fill(outs[slot].begin(), outs[slot].end(), 0);
+    auto out = svc.submit(std::make_shared<const program::NestedLoopProgram>(
+                              oversubscribed_program(shape, outs[slot])),
+                          s);
+    ASSERT_TRUE(out.accepted()) << "op " << submitted;
+    q.push_back({slot, shape, out.handle});
+    ++submitted;
+  };
+  for (u32 slot = 0; slot < kDepth; ++slot) submit(slot);
+  for (u64 op = 0; op < kOps; ++op) {
+    InFlight f = q.front();
+    q.pop_front();
+    const auto r = f.handle.await();
+    ASSERT_FALSE(r.failure.has_value())
+        << "op " << op << ": " << r.failure->message;
+    ASSERT_EQ(r.total.iterations, static_cast<u64>(kN)) << "op " << op;
+    ASSERT_EQ(outs[f.slot], want[f.shape]) << "op " << op;
+    if (submitted < kOps) submit(f.slot);
+  }
+}
+
+/// Inner instances per nested program of the tiny-slice mix.
+constexpr i64 kYieldInner = 64;
+
+/// Program k of the tiny-slice mix, writing one value per iteration into
+/// `out` (slot 0 unused).  Even k: one flat Doall over every slot.  Odd k:
+/// a parallel loop of kYieldInner inner Doalls, each over its own block of
+/// slots — many instance completions per program.
+program::NestedLoopProgram yield_program(u64 k, std::vector<u64>& out) {
+  const i64 n = static_cast<i64>(out.size()) - 1;
+  program::NodeSeq top;
+  if (k % 2 == 0) {
+    top.push_back(program::doall(
+        "flat", n, [&out, k](ProcId, const IndexVec&, i64 j) {
+          out[static_cast<std::size_t>(j)] = spin_mix(k, j);
+        }));
+  } else {
+    const i64 q = n / kYieldInner;
+    top.push_back(program::par(
+        kYieldInner,
+        program::seq(program::doall(
+            "inner", q, [&out, k, q](ProcId, const IndexVec& iv, i64 j) {
+              const i64 slot = (iv[1] - 1) * q + j;
+              out[static_cast<std::size_t>(slot)] = spin_mix(k, slot);
+            }))));
+  }
+  return program::NestedLoopProgram(std::move(top));
+}
+
+TEST(Serve, TinySlicesPublishCompletionsAtTheYield) {
+  // Slices this short end most attachments at a yield.  On threads a
+  // worker publishes its completed iterations when it leaves, so the
+  // worker whose publish completes an instance is sometimes a yielding
+  // one (the service polls its clock on one probe in 32, so about one
+  // instance completion in 32 lands on a yield: over this mix's ~500
+  // instances, a dozen or more per run).  That worker must run the
+  // completion path, and report the program done when it ended it, before
+  // it leaves the namespace.  Both shapes shard on 4 workers.  Audited,
+  // oracle-checked.
+  constexpr u64 kPrograms = 16;
+  constexpr i64 kN = 16384;
+  static_assert(kN / kYieldInner >= runtime::kShardMinItersPerWorker * 4);
+  serve::ServeOptions so;
+  so.priorities = 1;
+  so.slice_us = 5;
+  serve::Service svc(4, so);
+
+  std::vector<std::vector<u64>> outs(
+      kPrograms, std::vector<u64>(static_cast<std::size_t>(kN) + 1, 0));
+  std::vector<serve::Handle> handles;
+  for (u64 k = 0; k < kPrograms; ++k) {
+    serve::SubmitOptions s;
+    s.tenant = k % 2;
+    s.deadline_ms = 20000;
+    s.sched.audit = true;
+    auto out = svc.submit(std::make_shared<const program::NestedLoopProgram>(
+                              yield_program(k, outs[k])),
+                          s);
+    ASSERT_TRUE(out.accepted()) << "program " << k;
+    handles.push_back(out.handle);
+  }
+  for (u64 k = 0; k < kPrograms; ++k) {
+    const auto r = handles[k].await();
+    EXPECT_FALSE(r.failure.has_value())
+        << "program " << k << ": " << r.failure->message;
+    EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
+    EXPECT_GT(r.counters.serve_preemptions, 0u) << "program " << k;
+    std::vector<u64> want(outs[k].size(), 0);
+    baselines::run_sequential(yield_program(k, want), 1, true);
+    EXPECT_EQ(r.total.iterations, static_cast<u64>(kN)) << "program " << k;
     EXPECT_EQ(outs[k], want) << "program " << k;
   }
 }

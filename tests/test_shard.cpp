@@ -58,10 +58,9 @@ runtime::ProgramBuilder doall_builder(i64 n1, i64 n2) {
   };
 }
 
-/// Single Doacross chain of n iterations, dependence distance 2.  Worker 0
-/// always homes shard 0 (shard_math's block mapping), so the chain's head
-/// is never starved and cross-shard dependences resolve through the normal
-/// post/wait path.
+/// Single Doacross chain of n iterations, dependence distance 2.  Doacross
+/// instances keep the flat index whatever G is (docs/sharding.md), so these
+/// runs check that a G > 1 setting leaves chains correct.
 runtime::ProgramBuilder doacross_builder(i64 n) {
   return [n](const program::BodyFactory& bodies) {
     program::DoacrossSpec spec;

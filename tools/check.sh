@@ -5,9 +5,17 @@
 #
 #   tools/check.sh                 # tier-1 + TSan (threaded scheduler
 #                                  # tests, the ICB-pool/bound units of
-#                                  # test_hotpath and the contended
-#                                  # bounded-grab tests of test_claim)
+#                                  # test_hotpath, the contended
+#                                  # bounded-grab tests of test_claim, the
+#                                  # threads case of test_shard and the
+#                                  # served sharded-index / tiny-slice
+#                                  # tests of test_serve)
 #   tools/check.sh --fast          # tier-1 only
+#   tools/check.sh --repeat        # tier-1 build, then the audit, threads,
+#                                  # stress, team, claim and shard suites
+#                                  # repeated until one fails (20 rounds):
+#                                  # interleaving bugs show on some
+#                                  # schedules only
 #   tools/check.sh --explore       # tier-1 + TSan + schedule-sweep fuzz smoke
 #   tools/check.sh --audit         # unit+explore tiers with the invariant
 #                                  # auditor live (SELFSCHED_AUDIT=1 env:
@@ -64,6 +72,7 @@ cd "$(dirname "$0")/.."
 JOBS="${CMAKE_BUILD_PARALLEL_LEVEL:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)}"
 
 FAST=0
+REPEAT=0
 EXPLORE=0
 AUDIT=0
 FAULTS=0
@@ -75,6 +84,7 @@ LABEL=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --fast) FAST=1; shift ;;
+    --repeat) REPEAT=1; shift ;;
     --explore) EXPLORE=1; shift ;;
     --audit) AUDIT=1; shift ;;
     --faults) FAULTS=1; shift ;;
@@ -83,7 +93,7 @@ while [[ $# -gt 0 ]]; do
     --adaptive) ADAPTIVE=1; shift ;;
     --shard) SHARD=1; shift ;;
     --label) LABEL="${2:?--label needs an argument}"; shift 2 ;;
-    *) echo "usage: tools/check.sh [--fast] [--explore] [--audit]" \
+    *) echo "usage: tools/check.sh [--fast] [--repeat] [--explore] [--audit]" \
             "[--faults] [--serve] [--resilience] [--adaptive] [--shard]" \
             "[--label TIER]" >&2
        exit 2 ;;
@@ -111,6 +121,18 @@ ADAPTIVE_TESTS='Strategy|Adaptive|PortfolioSweep|CompletionModel|FaultAdaptive'
 # it, since a lost wakeup or a racy post shows up only on some schedules.
 DOACROSS_STRESS='Serve.OversubscribedDoacrossChainsMatchTheSerialOracle'
 DOACROSS_STRESS_REPEAT=5
+
+# The repeat filter: the suites whose outcome depends on the interleaving
+# of real threads — audited runs, the threaded scheduler, the stress
+# tier, the persistent team, the bounded grab and sharded dispatch.
+REPEAT_TESTS='Audit|Threads|Stress|ThreadTeam|Claim|Shard'
+REPEAT_ROUNDS=20
+
+# The threads tests of suites that run mostly on vtime, for the default
+# TSan pass: the sharded oracle run of test_shard, and the served
+# sharded-index closed loop and tiny-slice yields of test_serve.
+TSAN_SHARD_TESTS='ShardThreads.*'
+TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield'
 
 # The sharded-dispatch filter: every suite name carries "Shard" — the
 # shard-math/ICB units (ShardMath/Shard.*), the differential matrix and
@@ -233,6 +255,16 @@ if [[ "$AUDIT" == 1 ]]; then
   exit 0
 fi
 
+if [[ "$REPEAT" == 1 ]]; then
+  echo "== repeat: threads-sensitive suites until failure =="
+  cmake -B build -S .
+  cmake --build build -j "$JOBS"
+  (cd build && ctest --output-on-failure -j "$JOBS" -R "$REPEAT_TESTS" \
+      --repeat until-fail:"$REPEAT_ROUNDS")
+  echo "== OK (repeat) =="
+  exit 0
+fi
+
 CTEST_ARGS=(--output-on-failure -j "$JOBS")
 if [[ -n "$LABEL" ]]; then
   CTEST_ARGS+=(-L "$LABEL")
@@ -256,12 +288,14 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== TSan: threaded scheduler tests + hot-path units + claim =="
+echo "== TSan: threaded scheduler tests + hot-path units + claim + shards =="
 cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads \
-    test_hotpath test_claim
+    test_hotpath test_claim test_shard test_serve
 ./build-tsan/tests/test_scheduler_threads
 ./build-tsan/tests/test_hotpath
 ./build-tsan/tests/test_claim
+./build-tsan/tests/test_shard --gtest_filter="$TSAN_SHARD_TESTS"
+./build-tsan/tests/test_serve --gtest_filter="$TSAN_SERVE_TESTS"
 
 echo "== OK =="

@@ -46,8 +46,10 @@ void usage(const char* argv0, std::FILE* out) {
       "  --central-queue          single-list task pool (ablation)\n"
       "  --shards S               shards per loop list (default 1)\n"
       "  --index-shards G         per-instance index shards with home-first\n"
-      "                           stealing (default 1 = the flat paper\n"
-      "                           path; docs/sharding.md)\n"
+      "                           stealing (default 1 = engine's choice:\n"
+      "                           flat on vtime, one per worker for large\n"
+      "                           fixed-chunk Doalls on threads; 0 = flat\n"
+      "                           everywhere; docs/sharding.md)\n"
       "\n"
       "program:\n"
       "  --param NAME=VALUE       bind a named constant (repeatable)\n"
