@@ -166,6 +166,23 @@ void BM_O3_ExitEnter(benchmark::State& state) {
 BENCHMARK(BM_O3_ExitEnter);
 
 // --- end-to-end per-iteration cost of the full runtime ---
+/// One worker, zero-cost bodies, GSS (one chunk): the runtime's own cost
+/// per iteration with no contention, team setup included.
+void BM_EndToEnd_SerialRuntimePerIteration(benchmark::State& state) {
+  const i64 n = state.range(0);
+  for (auto _ : state) {
+    auto prog = workloads::flat_doall(
+        n, [](const IndexVec&, i64) -> Cycles { return 0; });
+    runtime::SchedOptions opts;
+    opts.measure_phases = false;
+    opts.strategy = runtime::Strategy::gss();
+    const auto r = runtime::run_threads(prog, 1, opts);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EndToEnd_SerialRuntimePerIteration)->Arg(1024)->Arg(16384);
+
 /// One team per worker count, reused by every run of the sweep.
 exec::ThreadTeam& team_of(u32 procs) {
   static std::map<u32, std::unique_ptr<exec::ThreadTeam>> teams;
@@ -174,10 +191,13 @@ exec::ThreadTeam& team_of(u32 procs) {
   return *t;
 }
 
-/// Full runtime on a flat `self` Doall of b iterations at COST 100 (the
-/// common iteration of perfbench's flat_fine): the crossover sweep behind
-/// runtime::kShardMinItersPerWorker.  Args are (b, P, G); G = 1 forces the
-/// flat index (index_shards = 0), G = P forces one shard per worker.
+/// Full runtime on a flat Doall of b iterations at COST 100 (the common
+/// iteration of perfbench's flat_fine), one iteration per grab: the
+/// crossover sweep behind runtime::kShardMinItersPerWorker.  Args are
+/// (b, P, G).  G = P runs `self` with index_shards = P.  G = 1 runs
+/// `chunk:1`, which grabs exactly as `self` does but keeps the flat index,
+/// since the engine shards only `self` on its own; a run that shards
+/// anyway is reported as an error rather than measured.
 void BM_EndToEnd_FlatLoopPerIteration(benchmark::State& state) {
   const i64 n = state.range(0);
   const auto procs = static_cast<u32>(state.range(1));
@@ -186,9 +206,16 @@ void BM_EndToEnd_FlatLoopPerIteration(benchmark::State& state) {
       n, [](const IndexVec&, i64) -> Cycles { return 100; });
   runtime::SchedOptions opts;
   opts.measure_phases = false;
-  opts.strategy = runtime::Strategy::self();
-  opts.index_shards = shards == 1 ? 0 : shards;
+  opts.strategy = shards == 1 ? runtime::Strategy::chunked(1)
+                              : runtime::Strategy::self();
+  opts.index_shards = shards;
   exec::ThreadTeam& team = team_of(procs);
+  const bool sharded =
+      runtime::run_threads_on(team, prog, opts).counters.shard_grants > 0;
+  if (sharded != (shards > 1)) {
+    state.SkipWithError("the run's index layout does not match G");
+    return;
+  }
   for (auto _ : state) {
     const auto r = runtime::run_threads_on(team, prog, opts);
     benchmark::DoNotOptimize(r);

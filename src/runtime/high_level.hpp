@@ -453,31 +453,31 @@ Level exit_from(C& ctx, SchedState<C>& st, LoopId i, Level from_level,
 //                                     child loop: activate index 1 only.
 // ---------------------------------------------------------------------------
 
-/// Fewest iterations per worker at which the threads engine gives a Doall
-/// instance one index shard per worker.  Set from the crossover sweep
-/// BM_EndToEnd_FlatLoopPerIteration in bench/bench_overheads.cpp (`self`,
-/// COST 100, b = 256 … 65536; EXPERIMENTS.md E8): on a 4-vCPU Xeon VM,
-/// G = P beat the flat index on 9 of 10 paired runs at P = 4 already at
-/// the sweep's smallest bound, b = 256 (−16% per iteration), and on 10 of
-/// 10 from b = 1024 up.
-inline constexpr i64 kShardMinItersPerWorker = 64;
+/// Fewest iterations per worker at which the threads engine gives a `self`
+/// Doall instance one index shard per worker.  Set from the crossover
+/// sweep BM_EndToEnd_FlatLoopPerIteration in bench/bench_overheads.cpp
+/// (COST 100, b = 256 … 65536; EXPERIMENTS.md E8): on a 4-vCPU Xeon VM at
+/// P = 4, G = P beat the flat index on 9 and 8 of 10 paired runs at
+/// b = 256 in two sweeps, and on 9 or 10 of 10 at every b >= 512.  512 is
+/// the smallest bound that passed 9 of 10 in both, so 512 / 4 per worker.
+inline constexpr i64 kShardMinItersPerWorker = 128;
 
 /// How many index shards ENTER gives an instance of `b` iterations.
 ///   * Doacross instances always get the flat index.  Their liveness needs
 ///     the chain's head iteration to be grabbed first, and with shards only
 ///     a worker homed on shard 0 does that — a served namespace need not
 ///     have one (docs/sharding.md, "Doacross liveness").
-///   * index_shards > 1 forces that many shards (clamped) on both engines;
-///     index_shards == 0 forces the flat index on both.
-///   * The default (1) is the engine's choice.  vtime keeps the paper's
-///     flat index.  On real cores a large instance under a fixed-chunk
-///     strategy (self, chunk:k, adaptive) gets G = P, so each grab is a
-///     fetch&add on the worker's own shard line.  The step-sized kinds keep
-///     the flat index: at G = P a shard has one home worker, whose first
-///     grab would take its whole shard — a static block schedule.
+///   * index_shards > 1 forces that many shards (clamped) on both engines.
+///   * The default (1; 0 reads as 1) is the engine's choice.  vtime keeps
+///     the paper's flat index.  On real cores a large instance under
+///     `self` gets G = P, so each grab is a fetch&add on the worker's own
+///     shard line.  `self` is the only kind the crossover sweep measured;
+///     the others keep the flat index.  (The step-sized kinds must: at
+///     G = P a shard has one home worker, whose first grab would take its
+///     whole shard — a static block schedule.)
 template <exec::ExecutionContext C>
 u32 index_shards_for(C& ctx, const SchedOptions& opts, bool doacross, i64 b) {
-  if (doacross || opts.index_shards == 0) return 1;
+  if (doacross) return 1;
   if (opts.index_shards > 1) {
     return std::min(opts.index_shards, shard::kMaxIndexShards);
   }
@@ -486,12 +486,8 @@ u32 index_shards_for(C& ctx, const SchedOptions& opts, bool doacross, i64 b) {
     (void)b;
     return 1;
   } else {
-    const Strategy::Kind k = opts.strategy.kind;
-    const bool fixed_chunk = k == Strategy::Kind::kSelf ||
-                             k == Strategy::Kind::kChunk ||
-                             k == Strategy::Kind::kAdaptive;
     const u32 procs = std::min(ctx.num_procs(), shard::kMaxIndexShards);
-    if (!fixed_chunk || procs < 2 ||
+    if (opts.strategy.kind != Strategy::Kind::kSelf || procs < 2 ||
         b < kShardMinItersPerWorker * static_cast<i64>(procs)) {
       return 1;
     }

@@ -141,9 +141,8 @@ struct SchedOptions {
   ///                the flat paper layout, exactly (same sync-op and cost
   ///                sequence).  threads: a Doall instance of at least
   ///                kShardMinItersPerWorker iterations per worker under
-  ///                self, chunk:k or adaptive gets one shard per worker;
-  ///                every other instance keeps the flat index.
-  ///   0            the flat index on both engines.
+  ///                `self` gets one shard per worker; every other instance
+  ///                keeps the flat index.  0 reads as 1.
   ///   G > 1        G shards (clamped to shard::kMaxIndexShards) on both
   ///                engines.
   /// Doacross instances always keep the flat index: a chain's liveness

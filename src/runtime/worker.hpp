@@ -27,7 +27,7 @@
 // completions locally and publishes them once per attachment, at the points
 // where it stops taking work from the instance (a failed grab, a yield, an
 // aborted chunk).  Together with the per-worker index shards that ENTER
-// gives large fixed-chunk Doall instances (index_shards_for), that leaves a
+// gives large `self` Doall instances (index_shards_for), that leaves a
 // worker no shared write per iteration (docs/scheduling.md, "Completion
 // count").
 #pragma once

@@ -416,7 +416,7 @@ TEST(Serve, TinySlicesPublishCompletionsAtTheYield) {
   // it leaves the namespace.  Both shapes shard on 4 workers.  Audited,
   // oracle-checked.
   constexpr u64 kPrograms = 16;
-  constexpr i64 kN = 16384;
+  constexpr i64 kN = kYieldInner * runtime::kShardMinItersPerWorker * 4;
   static_assert(kN / kYieldInner >= runtime::kShardMinItersPerWorker * 4);
   serve::ServeOptions so;
   so.priorities = 1;

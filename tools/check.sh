@@ -4,7 +4,8 @@
 # the plain build can't see.
 #
 #   tools/check.sh                 # tier-1 + TSan (threaded scheduler
-#                                  # tests, the ICB-pool/bound units of
+#                                  # and shard-policy tests, the
+#                                  # ICB-pool/bound units of
 #                                  # test_hotpath, the contended
 #                                  # bounded-grab tests of test_claim, the
 #                                  # threads case of test_shard and the
@@ -291,8 +292,9 @@ fi
 echo "== TSan: threaded scheduler tests + hot-path units + claim + shards =="
 cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads \
-    test_hotpath test_claim test_shard test_serve
+    test_shard_policy test_hotpath test_claim test_shard test_serve
 ./build-tsan/tests/test_scheduler_threads
+./build-tsan/tests/test_shard_policy
 ./build-tsan/tests/test_hotpath
 ./build-tsan/tests/test_claim
 ./build-tsan/tests/test_shard --gtest_filter="$TSAN_SHARD_TESTS"

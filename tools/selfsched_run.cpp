@@ -48,8 +48,7 @@ void usage(const char* argv0, std::FILE* out) {
       "  --index-shards G         per-instance index shards with home-first\n"
       "                           stealing (default 1 = engine's choice:\n"
       "                           flat on vtime, one per worker for large\n"
-      "                           fixed-chunk Doalls on threads; 0 = flat\n"
-      "                           everywhere; docs/sharding.md)\n"
+      "                           self Doalls on threads; docs/sharding.md)\n"
       "\n"
       "program:\n"
       "  --param NAME=VALUE       bind a named constant (repeatable)\n"
