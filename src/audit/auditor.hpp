@@ -1,6 +1,6 @@
-// Runtime invariant auditor (compile-time removable via SELFSCHED_AUDIT,
-// mirroring the SELFSCHED_TRACE pattern — see audit/hooks.hpp for the
-// instrumentation seams).
+// Runtime invariant auditor.  The scheduler reaches it through the hooks in
+// audit/hooks.hpp, which compile to nothing on a context without the
+// instrumentation accessors (exec::InstrumentedContext).
 //
 // The two-level protocol of §III is held together by conservation laws the
 // end-state oracle can only check indirectly: pcount attach/detach symmetry,

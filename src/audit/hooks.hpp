@@ -1,12 +1,13 @@
 // Invariant-auditor instrumentation hooks, mirroring trace/recorder.hpp's
-// pattern: the scheduler templates call the named wrappers below; a context
-// opts in by providing
+// pattern: the scheduler templates call the named wrappers below; they reach
+// the auditor through
 //
 //     audit::Auditor* audit_sink()
 //
-// (both RContext and VContext do).  A context without the accessor — or a
-// build configured with -DSELFSCHED_AUDIT=0 — compiles every hook away to
-// nothing, which bench_audit_overhead verifies (≤1.01x of a bare build).
+// one of the exec::InstrumentedContext accessors (both RContext and
+// VContext provide them).  A context without the accessors compiles every
+// hook away to nothing; bench_hook_overhead measures that bare build against
+// a null and a live auditor.
 //
 // Ordering rule: a hook that updates an ICB's shadow fires BEFORE the sync
 // op that can make that ICB reclaimable.  A detach's {pcount ; Decrement}
@@ -16,8 +17,9 @@
 // value fires after it and must not touch the ICB's shadow
 // (on_detach_fetched).
 //
-// Layering: this header depends only on audit/auditor.hpp and trace/ (for
-// counter folding); the runtime headers include it, never the reverse.
+// Layering: this header depends only on audit/auditor.hpp, exec/context.hpp
+// (for the concept) and trace/ (for counter folding); the runtime headers
+// include it, never the reverse.
 #pragma once
 
 #include <cstddef>
@@ -25,18 +27,10 @@
 
 #include "audit/auditor.hpp"
 #include "common/types.hpp"
+#include "exec/context.hpp"
 #include "trace/recorder.hpp"
 
-#ifndef SELFSCHED_AUDIT
-#define SELFSCHED_AUDIT 1
-#endif
-
 namespace selfsched::audit {
-
-template <typename C>
-concept AuditableContext = requires(C& ctx) {
-  { ctx.audit_sink() };
-};
 
 /// Host-side read of a context synchronization variable — no sync_op, so no
 /// virtual-time charge and no schedule perturbation.  Sound only where the
@@ -61,38 +55,25 @@ inline void account(C& ctx, u32 violations) {
 
 }  // namespace detail
 
-// Every wrapper has the same shape: enabled build + auditable context +
-// installed sink, else a constant-folded no-op.
-#if SELFSCHED_AUDIT
-#define SELFSCHED_AUDIT_HOOK_BODY(call)          \
-  if constexpr (AuditableContext<C>) {           \
-    if (Auditor* a = ctx.audit_sink()) {         \
-      detail::account(ctx, a->call);             \
-    }                                            \
+// Every wrapper has the same shape: instrumented context + installed sink,
+// else a constant-folded no-op.
+#define SS_AUDIT_HOOK_BODY(call)                \
+  if constexpr (exec::InstrumentedContext<C>) { \
+    if (Auditor* a = ctx.audit_sink()) {        \
+      detail::account(ctx, a->call);            \
+    }                                           \
   }
-#else
-#define SELFSCHED_AUDIT_HOOK_BODY(call)
-#endif
 
 template <typename C>
 inline void on_acquire(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_acquire(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  SS_AUDIT_HOOK_BODY(on_acquire(ctx.proc(), icb))
 }
 
 template <typename C>
 inline void on_publish(C& ctx, const void* icb, LoopId loop, u64 ivec_hash,
                        i64 bound, u32 list, u32 shards = 1) {
-  SELFSCHED_AUDIT_HOOK_BODY(
+  SS_AUDIT_HOOK_BODY(
       on_publish(ctx.proc(), icb, loop, ivec_hash, bound, list, shards))
-  (void)ctx;
-  (void)icb;
-  (void)loop;
-  (void)ivec_hash;
-  (void)bound;
-  (void)list;
-  (void)shards;
 }
 
 /// Convenience wrapper over on_publish for call sites holding the ICB
@@ -101,8 +82,7 @@ inline void on_publish(C& ctx, const void* icb, LoopId loop, u64 ivec_hash,
 /// when the hook is live.
 template <typename C, typename IcbT>
 inline void on_publish_icb(C& ctx, const IcbT* ip, u32 list) {
-#if SELFSCHED_AUDIT
-  if constexpr (AuditableContext<C>) {
+  if constexpr (exec::InstrumentedContext<C>) {
     if (Auditor* a = ctx.audit_sink()) {
       detail::account(
           ctx, a->on_publish(ctx.proc(), ip, ip->loop,
@@ -110,33 +90,23 @@ inline void on_publish_icb(C& ctx, const IcbT* ip, u32 list) {
                              list, ip->num_shards));
     }
   }
-#endif
-  (void)ctx;
-  (void)ip;
-  (void)list;
 }
 
 template <typename C>
 inline void on_attach(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_attach(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  SS_AUDIT_HOOK_BODY(on_attach(ctx.proc(), icb))
 }
 
 template <typename C>
 inline void on_attach_revoked(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_attach_revoked(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  SS_AUDIT_HOOK_BODY(on_attach_revoked(ctx.proc(), icb))
 }
 
 /// Detach balance of `icb`.  Fires before the {pcount ; Decrement} (see
 /// the ordering rule at the top of this file).
 template <typename C>
 inline void on_detach(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_detach(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  SS_AUDIT_HOOK_BODY(on_detach(ctx.proc(), icb))
 }
 
 /// The fetched value of a detach's {pcount ; Decrement}.  Fires after the
@@ -144,28 +114,18 @@ inline void on_detach(C& ctx, const void* icb) {
 /// has been released and recycled in between.
 template <typename C>
 inline void on_detach_fetched(C& ctx, i64 pcount_before) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_detach_fetched(ctx.proc(), pcount_before))
-  (void)ctx;
-  (void)pcount_before;
+  SS_AUDIT_HOOK_BODY(on_detach_fetched(ctx.proc(), pcount_before))
 }
 
 template <typename C>
 inline void on_dispatch(C& ctx, const void* icb, i64 first, i64 count) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_dispatch(ctx.proc(), icb, first, count))
-  (void)ctx;
-  (void)icb;
-  (void)first;
-  (void)count;
+  SS_AUDIT_HOOK_BODY(on_dispatch(ctx.proc(), icb, first, count))
 }
 
 template <typename C>
 inline void on_complete(C& ctx, const void* icb, i64 icount_before,
                         i64 count) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_complete(ctx.proc(), icb, icount_before, count))
-  (void)ctx;
-  (void)icb;
-  (void)icount_before;
-  (void)count;
+  SS_AUDIT_HOOK_BODY(on_complete(ctx.proc(), icb, icount_before, count))
 }
 
 /// Successful grab of [first, first+count) from shard `shard` of a sharded
@@ -173,14 +133,8 @@ inline void on_complete(C& ctx, const void* icb, i64 icount_before,
 template <typename C>
 inline void on_shard_grant(C& ctx, const void* icb, u32 shard, i64 first,
                            i64 count, bool stolen) {
-  SELFSCHED_AUDIT_HOOK_BODY(
+  SS_AUDIT_HOOK_BODY(
       on_shard_grant(ctx.proc(), icb, shard, first, count, stolen))
-  (void)ctx;
-  (void)icb;
-  (void)shard;
-  (void)first;
-  (void)count;
-  (void)stolen;
 }
 
 /// The grab above took shard `shard`'s final iteration; `elected` marks the
@@ -188,61 +142,42 @@ inline void on_shard_grant(C& ctx, const void* icb, u32 shard, i64 first,
 template <typename C>
 inline void on_shard_exhaust(C& ctx, const void* icb, u32 shard,
                              bool elected) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_shard_exhaust(ctx.proc(), icb, shard, elected))
-  (void)ctx;
-  (void)icb;
-  (void)shard;
-  (void)elected;
+  SS_AUDIT_HOOK_BODY(on_shard_exhaust(ctx.proc(), icb, shard, elected))
 }
 
 template <typename C>
 inline void on_unlink(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_unlink(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  SS_AUDIT_HOOK_BODY(on_unlink(ctx.proc(), icb))
 }
 
 template <typename C>
 inline void on_release(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_release(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  SS_AUDIT_HOOK_BODY(on_release(ctx.proc(), icb))
 }
 
 template <typename C>
 inline void on_da_post(C& ctx, const void* icb, i64 j) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_da_post(ctx.proc(), icb, j))
-  (void)ctx;
-  (void)icb;
-  (void)j;
+  SS_AUDIT_HOOK_BODY(on_da_post(ctx.proc(), icb, j))
 }
 
 template <typename C>
 inline void on_bar_count(C& ctx, u32 loop_uid, bool created, i64 count,
                          i64 bound, bool tripped) {
-  SELFSCHED_AUDIT_HOOK_BODY(
+  SS_AUDIT_HOOK_BODY(
       on_bar_count(ctx.proc(), loop_uid, created, count, bound, tripped))
-  (void)ctx;
-  (void)loop_uid;
-  (void)created;
-  (void)count;
-  (void)bound;
-  (void)tripped;
 }
 
 template <typename C>
 inline void on_terminate(C& ctx) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_terminate(ctx.proc()))
-  (void)ctx;
+  SS_AUDIT_HOOK_BODY(on_terminate(ctx.proc()))
 }
 
 template <typename C>
 inline void on_cancel(C& ctx) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_cancel(ctx.proc()))
-  (void)ctx;
+  SS_AUDIT_HOOK_BODY(on_cancel(ctx.proc()))
 }
 
-#undef SELFSCHED_AUDIT_HOOK_BODY
+#undef SS_AUDIT_HOOK_BODY
 
 /// Structural check of one task-pool list, called while its lock is still
 /// held (so the walk is race-free) right after a lock region restored the
@@ -254,8 +189,7 @@ inline void on_cancel(C& ctx) {
 template <typename C, typename Node, typename SwBitFn>
 inline void check_list(C& ctx, u32 list, const Node* head, const Node* tail,
                        SwBitFn&& sw_bit_fn) {
-#if SELFSCHED_AUDIT
-  if constexpr (AuditableContext<C>) {
+  if constexpr (exec::InstrumentedContext<C>) {
     Auditor* a = ctx.audit_sink();
     if (a == nullptr) return;
     const bool sw_bit = sw_bit_fn();
@@ -292,12 +226,6 @@ inline void check_list(C& ctx, u32 list, const Node* head, const Node* tail,
       detail::account(ctx, 0);
     }
   }
-#endif
-  (void)ctx;
-  (void)list;
-  (void)head;
-  (void)tail;
-  (void)sw_bit_fn;
 }
 
 }  // namespace selfsched::audit

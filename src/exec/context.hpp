@@ -119,6 +119,22 @@ concept ExecutionContext =
       { ctx.stats() } -> std::same_as<WorkerStats&>;
     };
 
+/// The instrumentation seam: a context that provides the four accessors
+///   trace_sink() / trace_now()   event rings + counters (trace/recorder.hpp)
+///   audit_sink()                 invariant auditor (audit/hooks.hpp)
+///   fault_plan()                 fault injection (runtime/fault.hpp)
+/// gets every trace, audit and fault hook; a context without them compiles
+/// every hook to nothing.  RContext and VContext provide all four; the sink,
+/// auditor and plan are pointers that may be null, so with nothing installed
+/// a hook is one branch.
+template <typename C>
+concept InstrumentedContext = requires(C& ctx) {
+  { ctx.trace_sink() };
+  { ctx.trace_now() };
+  { ctx.audit_sink() };
+  { ctx.fault_plan() };
+};
+
 /// RAII phase switch: enters `p`, restores the previous phase on scope exit.
 template <typename C>
 class PhaseScope {

@@ -2,14 +2,15 @@
 // failure records, and the shared cancellation state of one run.
 //
 // Injection mirrors the trace/audit compile-out pattern: the scheduler
-// templates call the hooks below; a context opts in by providing
+// templates call the hooks below; they reach the plan through
 //
 //     fault::FaultPlan* fault_plan()
 //
-// (both RContext and VContext do).  A context without the accessor — or a
-// build configured with -DSELFSCHED_FAULT=0 — compiles every hook away to
-// nothing, which bench_fault_overhead verifies.  With a plan installed but
-// no armed specs matching, each hook is one branch on a pointer.
+// one of the exec::InstrumentedContext accessors (both RContext and
+// VContext provide them).  A context without the accessors compiles every
+// hook away to nothing; bench_hook_overhead measures that bare build against
+// a null and an armed plan.  With no plan installed each hook is one branch
+// on a pointer.
 //
 // Determinism: a fault fires as a pure function of per-worker scheduler
 // state (which worker executes which (loop, ivec, j) point, the per-worker
@@ -19,8 +20,9 @@
 // through engine-serialized synchronization variables — replays
 // bit-identically via ScheduleController kReplay.  See docs/robustness.md.
 //
-// Layering: this header depends only on common/ and trace/ (for counter
-// folding); the runtime headers include it, never the reverse.
+// Layering: this header depends only on common/, exec/context.hpp (for the
+// concept) and trace/ (for counter folding); the runtime headers include
+// it, never the reverse.
 #pragma once
 
 #include <atomic>
@@ -32,18 +34,10 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "exec/context.hpp"
 #include "trace/recorder.hpp"
 
-#ifndef SELFSCHED_FAULT
-#define SELFSCHED_FAULT 1
-#endif
-
 namespace selfsched::fault {
-
-template <typename C>
-concept FaultableContext = requires(C& ctx) {
-  { ctx.fault_plan() };
-};
 
 enum class FaultKind : u32 {
   kBodyThrow,    // throw from inside an iteration body
@@ -324,8 +318,7 @@ struct CancelState {
 template <typename C>
 inline FaultSpec* match_body(C& ctx, LoopId loop, const IndexVec& ivec,
                              u32 depth, i64 j) {
-#if SELFSCHED_FAULT
-  if constexpr (FaultableContext<C>) {
+  if constexpr (exec::InstrumentedContext<C>) {
     FaultPlan* plan = ctx.fault_plan();
     if (plan == nullptr) return nullptr;
     for (FaultSpec& s : plan->specs) {
@@ -361,12 +354,6 @@ inline FaultSpec* match_body(C& ctx, LoopId loop, const IndexVec& ivec,
       return &s;
     }
   }
-#endif
-  (void)ctx;
-  (void)loop;
-  (void)ivec;
-  (void)depth;
-  (void)j;
   return nullptr;
 }
 
@@ -374,8 +361,7 @@ inline FaultSpec* match_body(C& ctx, LoopId loop, const IndexVec& ivec,
 /// this worker pauses it `cycles` before the `lock_seq`-th acquisition.
 template <typename C>
 inline void on_lock(C& ctx) {
-#if SELFSCHED_FAULT
-  if constexpr (FaultableContext<C>) {
+  if constexpr (exec::InstrumentedContext<C>) {
     FaultPlan* plan = ctx.fault_plan();
     if (plan == nullptr) return;
     for (FaultSpec& s : plan->specs) {
@@ -394,8 +380,6 @@ inline void on_lock(C& ctx) {
       }
     }
   }
-#endif
-  (void)ctx;
 }
 
 }  // namespace selfsched::fault

@@ -73,7 +73,6 @@ struct SchedOptions {
   /// SEARCHes, EXIT/ENTER activations, Doacross stalls, teardowns) into
   /// per-worker ring buffers, folded into RunResult::trace_events.  The
   /// metric counters (RunResult::counters) are collected regardless.
-  /// Compile-time kill switch: build with -DSELFSCHED_TRACE=0.
   bool trace_events = false;
 
   /// Per-worker event-ring capacity (rounded up to a power of two); on
@@ -84,8 +83,7 @@ struct SchedOptions {
   /// the scheduler — ICB-lifecycle state machine, pcount/icount protocol,
   /// task-pool list integrity, BAR_COUNT reclamation, Doacross post-once.
   /// Also enabled by the SELFSCHED_AUDIT=1 environment variable (so a whole
-  /// ctest run can be audited unmodified).  Compile-time kill switch: build
-  /// with -DSELFSCHED_AUDIT=0.
+  /// ctest run can be audited unmodified).
   bool audit = false;
 
   /// Throw (SS_CHECK) at end of run if the auditor recorded violations;
@@ -180,7 +178,7 @@ struct SchedOptions {
   /// Fault-injection plan (runtime/fault.hpp): armed body-throw /
   /// worker-stall / lock-delay faults, fired deterministically at matching
   /// (loop, ivec, worker) points.  Not owned; FaultPlan::reset() re-arms it
-  /// between runs.  Compile-time kill switch: build with -DSELFSCHED_FAULT=0.
+  /// between runs.
   fault::FaultPlan* fault_plan = nullptr;
 
   /// Backoff cap, in pause cycles, for pool-idle spinning.

@@ -15,8 +15,8 @@
 //   * events off: one branch per would-be event (no clock read);
 //   * events on (vtime): clock reads do not advance virtual time, so the
 //     simulated run is bit-identical with tracing on or off;
-//   * SELFSCHED_TRACE=0, or a context without trace accessors: every hook
-//     is a constant-folded no-op.
+//   * a context without the instrumentation accessors
+//     (exec::InstrumentedContext): every hook is a constant-folded no-op.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include "common/cacheline.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
+#include "exec/context.hpp"
 #include "trace/counters.hpp"
 #include "trace/ring.hpp"
 
@@ -99,17 +100,10 @@ class Recorder {
 };
 
 // ---------------------------------------------------------------------------
-// Hooks.  Templated on the execution context; a context opts in by providing
-//   trace::WorkerSink* trace_sink()   and   Cycles trace_now()
-// (both RContext and VContext do).  A context without them — or a build with
-// SELFSCHED_TRACE=0 — compiles every hook away.
+// Hooks.  Templated on the execution context; a context without the
+// instrumentation accessors (exec::InstrumentedContext) compiles every hook
+// away.
 // ---------------------------------------------------------------------------
-
-template <typename C>
-concept TraceableContext = requires(C& ctx) {
-  { ctx.trace_sink() };
-  { ctx.trace_now() };
-};
 
 /// Sentinel returned by event_begin when no event should be recorded.
 inline constexpr Cycles kTraceOff = -1;
@@ -117,27 +111,19 @@ inline constexpr Cycles kTraceOff = -1;
 /// Add to one metric counter.
 template <typename C>
 inline void bump(C& ctx, u64 Counters::* m, u64 n = 1) {
-#if SELFSCHED_TRACE
-  if constexpr (TraceableContext<C>) {
+  if constexpr (exec::InstrumentedContext<C>) {
     if (WorkerSink* s = ctx.trace_sink()) s->counters.*m += n;
   }
-#endif
-  (void)ctx;
-  (void)m;
-  (void)n;
 }
 
 /// Start timestamp for an event, or kTraceOff when events are disabled.
 template <typename C>
 inline Cycles event_begin(C& ctx) {
-#if SELFSCHED_TRACE
-  if constexpr (TraceableContext<C>) {
+  if constexpr (exec::InstrumentedContext<C>) {
     if (WorkerSink* s = ctx.trace_sink(); s != nullptr && s->events_on) {
       return ctx.trace_now();
     }
   }
-#endif
-  (void)ctx;
   return kTraceOff;
 }
 
@@ -145,22 +131,12 @@ inline Cycles event_begin(C& ctx) {
 template <typename C>
 inline void event_end(C& ctx, Cycles t0, EventKind kind, LoopId loop,
                       u64 ivec_hash, i64 first, i64 count) {
-#if SELFSCHED_TRACE
-  if constexpr (TraceableContext<C>) {
+  if constexpr (exec::InstrumentedContext<C>) {
     if (t0 == kTraceOff) return;
     WorkerSink* s = ctx.trace_sink();
     s->ring.push(TraceEvent{ctx.proc(), kind, loop, ivec_hash, first, count,
                             t0, ctx.trace_now()});
-    return;
   }
-#endif
-  (void)ctx;
-  (void)t0;
-  (void)kind;
-  (void)loop;
-  (void)ivec_hash;
-  (void)first;
-  (void)count;
 }
 
 /// Hash of the meaningful prefix of an instance's index vector — stable

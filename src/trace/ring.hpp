@@ -8,10 +8,9 @@
 // keeping the most recent window, which is the useful one when a run
 // misbehaves at the end — and counts what it dropped.
 //
-// The whole tracing subsystem has a compile-time kill switch: building with
-// -DSELFSCHED_TRACE=0 (CMake: -DSELFSCHED_TRACE=OFF) turns every hook in
-// trace/recorder.hpp into a no-op the optimizer deletes.  The types below
-// stay defined either way so exporters and tests always compile.
+// The rings are filled by the hooks in trace/recorder.hpp, which compile to
+// nothing on a context without the instrumentation accessors
+// (exec::InstrumentedContext, exec/context.hpp).
 #pragma once
 
 #include <atomic>
@@ -21,10 +20,6 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
-
-#ifndef SELFSCHED_TRACE
-#define SELFSCHED_TRACE 1
-#endif
 
 namespace selfsched::trace {
 

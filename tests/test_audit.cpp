@@ -366,8 +366,6 @@ TEST(Auditor, ReportCarriesIdentityAndScheduleDecisions) {
   EXPECT_NE(rep.find(" 2 0 1"), std::string::npos);
 }
 
-#if SELFSCHED_AUDIT
-
 // ------------------------------------------------- hook ordering (detach) --
 
 /// RContext that runs `on_pcount_decrement` right after a {pcount ;
@@ -673,8 +671,6 @@ TEST(AuditCancel, DrainAfterCancelRetiresPublishedIcbs) {
   EXPECT_EQ(a.on_quiescence(true, 0, 0), 0u);
   EXPECT_EQ(a.violation_count(), 0u) << a.report();
 }
-
-#endif  // SELFSCHED_AUDIT
 
 }  // namespace
 }  // namespace selfsched

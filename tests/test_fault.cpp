@@ -10,11 +10,15 @@
 #include <string>
 #include <thread>
 
+#include "audit/auditor.hpp"
+#include "audit/hooks.hpp"
 #include "baselines/sequential.hpp"
+#include "exec/real_context.hpp"
 #include "program/fig1.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/high_level.hpp"
 #include "runtime/scheduler.hpp"
+#include "trace/recorder.hpp"
 #include "vtime/context.hpp"
 #include "vtime/schedule_ctrl.hpp"
 #include "workloads/programs.hpp"
@@ -86,12 +90,7 @@ TEST(FaultBody, ThreadsThrowModeRethrows) {
 }
 
 // ------------------------------------------------------ injected body throw
-//
-// Tests that need a fault to actually fire are gated on the hooks being
-// compiled in (-DSELFSCHED_FAULT=OFF turns every armed plan into a no-op;
-// UnmatchedPlanIsHarmless below passes under both configs and stays live).
 
-#if SELFSCHED_FAULT
 TEST(FaultInject, BodyThrowFiresAtTheArmedPoint) {
   const auto prog = workloads::flat_doall(40, nullptr);
   FaultPlan plan;
@@ -114,7 +113,6 @@ TEST(FaultInject, BodyThrowFiresAtTheArmedPoint) {
   EXPECT_EQ(r2.failure->iteration, r.failure->iteration);
   EXPECT_EQ(r2.makespan, r.makespan);
 }
-#endif  // SELFSCHED_FAULT
 
 TEST(FaultInject, UnmatchedPlanIsHarmless) {
   const auto prog = workloads::flat_doall(40, nullptr);
@@ -135,7 +133,6 @@ TEST(FaultInject, UnmatchedPlanIsHarmless) {
 
 // ------------------------------------------------------------ worker stalls
 
-#if SELFSCHED_FAULT
 TEST(FaultInject, FiniteStallDelaysButCompletesTheRun) {
   const auto prog = workloads::flat_doall(40, nullptr);
   SchedOptions plain;
@@ -184,7 +181,6 @@ TEST(FaultInject, IndefiniteStallIsRescuedByTheHostDeadline) {
   EXPECT_EQ(r.failure->kind, FailureRecord::Kind::kInjectedFault);
   EXPECT_GE(r.counters.deadline_expirations, 1u);
 }
-#endif  // SELFSCHED_FAULT
 
 // ----------------------------------------------------------- stall watchdog
 //
@@ -192,7 +188,6 @@ TEST(FaultInject, IndefiniteStallIsRescuedByTheHostDeadline) {
 // namespace that completes no chunk within its budget, with no deadline
 // armed at all; the serve retry layer classifies its rescues as transient.
 
-#if SELFSCHED_FAULT
 TEST(FaultWatchdog, VtimeRescueOfAnIndefiniteStallIsDeterministic) {
   const auto prog = workloads::flat_doall(40, nullptr);
   FaultPlan plan;
@@ -231,7 +226,6 @@ TEST(FaultWatchdog, ThreadsStallIsRescuedByTheWatchdog) {
   EXPECT_GE(r.counters.serve_watchdog_rescues, 1u);
   EXPECT_EQ(r.counters.deadline_expirations, 0u);
 }
-#endif  // SELFSCHED_FAULT
 
 TEST(FaultWatchdog, ArmedIdleWatchdogIsBitIdenticalOnVtime) {
   // A watchdog that never fires adds no engine ops: the armed run's vtime
@@ -313,7 +307,6 @@ TEST(FaultDeadline, ThrowModeRaisesFailureError) {
 
 // --------------------------------------------------------------- lock delay
 
-#if SELFSCHED_FAULT
 TEST(FaultInject, LockDelayPerturbsDeterministically) {
   const auto prog = workloads::triangular(8, 100);
   FaultPlan plan;
@@ -351,7 +344,6 @@ TEST(FaultInject, SeederDelayedBetweenSiblingsDoesNotEndTheRunEarly) {
     EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
   }
 }
-#endif  // SELFSCHED_FAULT
 
 // -------------------------------------------------- drain + replay (tentpole)
 
@@ -371,7 +363,6 @@ TEST(FaultDrain, CancelledRunsLeaveNothingBehindOnBothEngines) {
   }
 }
 
-#if SELFSCHED_FAULT
 TEST(FaultReplay, FailureRecordAndTraceReplayBitIdentically) {
   // Acceptance path: inject a fault under an explored schedule, record the
   // decision trace, then replay it — failure record and event trace must
@@ -491,27 +482,46 @@ TEST(FaultAdaptive, StallPerturbsTimingsButRunCompletesAndReplays) {
     EXPECT_EQ(ea.end, eb.end);
   }
 }
-#endif  // SELFSCHED_FAULT
 
 // --------------------------------------------------------------- compile-out
 
-struct BareContext {};
-static_assert(!fault::FaultableContext<BareContext>,
-              "a context without fault_plan() must compile the hooks away");
-static_assert(fault::FaultableContext<vtime::VContext>);
+/// A context without the instrumentation accessors.  It exposes a live
+/// auditor through audit_sink() alone, to show that a context with only some
+/// of the accessors is bare too, and it holds a trace sink no accessor
+/// reaches.
+struct BareContext {
+  ProcId proc() const { return 0; }
+  audit::Auditor* audit_sink() { return &auditor; }
+  audit::Auditor auditor;
+  trace::WorkerSink sink;
+};
+static_assert(!exec::InstrumentedContext<BareContext>,
+              "a context without the accessors must compile the hooks away");
+static_assert(exec::InstrumentedContext<exec::RContext>);
+static_assert(exec::InstrumentedContext<vtime::VContext>);
 
 TEST(FaultHooks, MatchIsInertOnAFaultlessContext) {
-  // match_body on a non-faultable context is a constant nullptr; this is
-  // the disabled path bench_fault_overhead measures.
+  // Every hook on a bare context is a constant no-op; this is the bare row
+  // bench_hook_overhead measures.
   BareContext ctx;
   IndexVec iv;
   EXPECT_EQ(fault::match_body(ctx, 0, iv, 0, 0), nullptr);
   fault::on_lock(ctx);  // must be a no-op, not a compile error
+
+  trace::bump(ctx, &trace::Counters::dispatches);
+  EXPECT_EQ(ctx.sink.counters.dispatches, 0u);
+  const Cycles t0 = trace::event_begin(ctx);
+  EXPECT_EQ(t0, trace::kTraceOff);
+  trace::event_end(ctx, t0, trace::EventKind::kChunk, 0, 0, 0, 1);
+  EXPECT_EQ(ctx.sink.ring.size(), 0u);
+
+  audit::on_acquire(ctx, &ctx);
+  audit::on_terminate(ctx);
+  EXPECT_EQ(ctx.auditor.events(), 0u);
 }
 
 // ------------------------------------------------------- doacross cancelling
 
-#if SELFSCHED_FAULT
 TEST(FaultDoacross, CancellationUnblocksPostWaiters) {
   // A body throw in a Doacross chain: workers blocked in the post-wait spin
   // must observe the cancellation and unwind instead of waiting forever for
@@ -530,7 +540,6 @@ TEST(FaultDoacross, CancellationUnblocksPostWaiters) {
     EXPECT_EQ(r.failure->kind, FailureRecord::Kind::kInjectedFault);
   }
 }
-#endif  // SELFSCHED_FAULT
 
 // --------------------------------------------------- sharded cancellation
 

@@ -510,7 +510,6 @@ TEST(ServeResilience, DefaultPolicyIsFullyDisabled) {
   EXPECT_EQ(pol.watchdog_stall_vcycles, 0u);
 }
 
-#if SELFSCHED_FAULT
 TEST(ServeResilience, RetriedTransientFailureCompletesOracleExact) {
   serve::ServeOptions so;
   so.deterministic = true;
@@ -555,7 +554,6 @@ TEST(ServeResilience, RetriedTransientFailureCompletesOracleExact) {
   }
   EXPECT_EQ(grants, 2u);
 }
-#endif  // SELFSCHED_FAULT
 
 TEST(ServeResilience, RetryBudgetExhaustionIsAPermanentFailure) {
   serve::ServeOptions so;
@@ -722,7 +720,6 @@ TEST(ServeResilience, DisabledPolicyMatchesTheDefaultServiceBitForBit) {
   }
 }
 
-#if SELFSCHED_FAULT
 TEST(ServeResilience, DetChaosTrajectoryReplaysBitIdentically) {
   // A miniature of tools/serve_chaos --deterministic --replay-check: mixed
   // flavors (clean / injected throw / indefinite stall / poison), retries,
@@ -809,7 +806,6 @@ TEST(ServeResilience, DetChaosTrajectoryReplaysBitIdentically) {
         << i;
   }
 }
-#endif  // SELFSCHED_FAULT
 
 }  // namespace
 }  // namespace selfsched

@@ -376,9 +376,6 @@ TEST(IvecHash, DependsOnPrefixOnly) {
 }
 
 // ------------------------------------------- end-to-end event collection --
-// Event-content assertions only hold when the hooks are compiled in.
-#if SELFSCHED_TRACE
-
 std::set<trace::EventKind> kinds_of(const std::vector<trace::TraceEvent>& evs) {
   std::set<trace::EventKind> out;
   for (const auto& e : evs) out.insert(e.kind);
@@ -553,8 +550,6 @@ TEST(TraceExport, EventsCsvHasHeaderAndOneRowPerEvent) {
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, r.trace_events.size());
 }
-
-#endif  // SELFSCHED_TRACE
 
 // ---------------------------------------------------------------- reports --
 

@@ -3,8 +3,9 @@
 
 Runs the SEARCH-scalability bench, the E16 adaptive-strategy bench and
 the E17 sharded-dispatch scaling bench (virtual-time: deterministic,
-exact, host-independent) plus the real-hardware overhead microbench
-(informational only: wall-clock, noisy), and compares the gated metrics
+exact, host-independent) plus the real-hardware benches — E8 overheads,
+E11 hook overhead, E15 serve (informational only: wall-clock, noisy) —
+and compares the gated metrics
 against the committed baselines (BENCH_search.json, BENCH_adaptive.json,
 BENCH_shard.json).  bench_adaptive and bench_shard_scale additionally
 enforce their own acceptance thresholds; a violation fails the gate even
@@ -113,39 +114,50 @@ def run_overhead_bench(build_dir):
     return metrics
 
 
-def run_fault_overhead_bench(build_dir):
-    """Fault-injection hook cost ratios (bench_fault_overhead): wall-clock,
-    informational, never gated.  Parses the bench's table — the vs_bare
-    column of the non-bare rows is the disabled-path overhead the ISSUE
-    bounds at 2%."""
-    exe = os.path.join(build_dir, "bench", "bench_fault_overhead")
+def parse_hook_overhead(text):
+    """Ratio metrics from bench_hook_overhead's table: one per row and per
+    vs_* column, named hook_overhead/<row>_vs_<ref>.  A row's cell against
+    itself reads "-" and is skipped."""
+    metrics = []
+    columns = None
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if cells[0] == "config":
+            columns = [i for i, c in enumerate(cells) if c.startswith("vs_")]
+            header = cells
+            continue
+        if columns is None or len(cells) != len(header):
+            continue
+        slug = cells[0].split(" (")[0].replace(",", "").replace(" ", "_")
+        for i in columns:
+            try:
+                ratio = float(cells[i])
+            except ValueError:
+                continue
+            metrics.append({
+                "name": f"hook_overhead/{slug}_{header[i]}",
+                "value": ratio,
+                "unit": "ratio",
+                "better": "less",
+                "deterministic": False,
+                "gate": False,
+            })
+    return metrics
+
+
+def run_hook_overhead_bench(build_dir):
+    """Trace/audit/fault hook cost ratios (bench_hook_overhead, E11):
+    wall-clock, informational, never gated."""
+    exe = os.path.join(build_dir, "bench", "bench_hook_overhead")
     if not os.path.exists(exe):
-        print(f"bench_gate: note: {exe} not built, skipping fault bench")
+        print(f"bench_gate: note: {exe} not built, skipping hook bench")
         return []
     proc = subprocess.run([exe], capture_output=True, text=True)
     if proc.returncode != 0:
-        print("bench_gate: note: bench_fault_overhead failed, skipping:"
+        print("bench_gate: note: bench_hook_overhead failed, skipping:"
               f" {proc.stderr.strip()[:200]}")
         return []
-    metrics = []
-    for line in proc.stdout.splitlines():
-        cells = [c.strip() for c in line.split("|")]
-        if len(cells) != 4 or cells[0].startswith(("config", "bare")):
-            continue
-        try:
-            ratio = float(cells[3])
-        except ValueError:
-            continue
-        slug = cells[0].split(" (")[0].replace(" ", "_").replace(",", "")
-        metrics.append({
-            "name": f"fault_overhead/{slug}_vs_bare",
-            "value": ratio,
-            "unit": "ratio",
-            "better": "less",
-            "deterministic": False,
-            "gate": False,
-        })
-    return metrics
+    return parse_hook_overhead(proc.stdout)
 
 
 def run_serve_bench(build_dir, tmp_path):
@@ -273,7 +285,7 @@ def main():
     ap.add_argument("--update-baseline", action="store_true",
                     help="overwrite --baseline with fresh results and exit")
     ap.add_argument("--skip-gbench", action="store_true",
-                    help="skip the wall-clock overhead bench (informational "
+                    help="skip the wall-clock benches (informational "
                          "metrics only)")
     ap.add_argument("--allow-missing", action="store_true",
                     help="downgrade gated baseline metrics missing from a "
@@ -291,7 +303,7 @@ def main():
         os.path.join(args.build_dir, "bench_shard_tmp.json"))
     if not args.skip_gbench:
         metrics += run_overhead_bench(args.build_dir)
-        metrics += run_fault_overhead_bench(args.build_dir)
+        metrics += run_hook_overhead_bench(args.build_dir)
         metrics += run_serve_bench(args.build_dir,
                                    os.path.join(args.build_dir,
                                                 "bench_serve_tmp.json"))

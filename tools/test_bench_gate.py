@@ -131,5 +131,40 @@ class EvaluateTest(unittest.TestCase):
         self.assertIn("refresh the baseline", "\n".join(lines))
 
 
+HOOK_TABLE = """\
+procs=4 iters=200000 body_work=32 reps=21 (median, configurations interleaved)
+config                     | median_ms | ns_per_iter | iqr_pct | vs_bare | vs_default | old target (vs_bare)
+---------------------------+-----------+-------------+---------+---------+------------+---------------------
+bare (hooks compiled out)  | 4.39      | 22.0        | 11.0    | -       | 0.967      | -
+shipping default (events off, null sinks) | 4.54 | 22.7 | 14.8 | 1.034 | -     | E11 few %; E13 <= 1.01
+events on                  | 11.89     | 59.4        | 12.3    | 2.705   | 2.617      | -
+armed plan, no match       | 4.52      | 22.6        | 14.8    | 1.030   | 0.996      | -
+
+auditor: 400024 events, 0 violations | in the last rep
+"""
+
+
+class HookOverheadParseTest(unittest.TestCase):
+    def test_every_ratio_cell_becomes_an_ungated_metric(self):
+        metrics = bench_gate.parse_hook_overhead(HOOK_TABLE)
+        values = {m["name"]: m["value"] for m in metrics}
+        self.assertEqual(values, {
+            "hook_overhead/bare_vs_default": 0.967,
+            "hook_overhead/shipping_default_vs_bare": 1.034,
+            "hook_overhead/events_on_vs_bare": 2.705,
+            "hook_overhead/events_on_vs_default": 2.617,
+            "hook_overhead/armed_plan_no_match_vs_bare": 1.030,
+            "hook_overhead/armed_plan_no_match_vs_default": 0.996,
+        })
+        for m in metrics:
+            self.assertFalse(m["gate"])
+            self.assertFalse(m["deterministic"])
+            self.assertEqual(m["better"], "less")
+
+    def test_output_without_the_table_yields_nothing(self):
+        self.assertEqual(bench_gate.parse_hook_overhead("a | b\n1 | 2\n"),
+                         [])
+
+
 if __name__ == "__main__":
     unittest.main()
