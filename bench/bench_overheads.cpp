@@ -5,7 +5,8 @@
 //   O2: one SEARCH round (leading-one-detection + list walk + attach)
 //   O3: one EXIT + ENTER activation round trip
 // plus the end-to-end per-iteration cost of a scheduled flat loop, swept over
-// its bound with the flat index and with one index shard per worker.
+// its bound under `self` (one index shard per worker once the bound is large
+// enough) and under `chunk:1` (always the flat index).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -194,26 +195,28 @@ exec::ThreadTeam& team_of(u32 procs) {
 /// Full runtime on a flat Doall of b iterations at COST 100 (the common
 /// iteration of perfbench's flat_fine), one iteration per grab: the
 /// crossover sweep behind runtime::kShardMinItersPerWorker.  Args are
-/// (b, P, G).  G = P runs `self` with index_shards = P.  G = 1 runs
-/// `chunk:1`, which grabs exactly as `self` does but keeps the flat index,
-/// since the engine shards only `self` on its own; a run that shards
-/// anyway is reported as an error rather than measured.
+/// (b, P, self).  self = 1 runs `self`, whose layout index_shards_for picks
+/// (one shard per worker at b >= kShardMinItersPerWorker * P, flat below).
+/// self = 0 runs `chunk:1`, which grabs exactly as `self` does but always
+/// keeps the flat index.  A run whose layout differs from the rule's is
+/// reported as an error rather than measured.
 void BM_EndToEnd_FlatLoopPerIteration(benchmark::State& state) {
   const i64 n = state.range(0);
   const auto procs = static_cast<u32>(state.range(1));
-  const auto shards = static_cast<u32>(state.range(2));
   auto prog = workloads::flat_doall(
       n, [](const IndexVec&, i64) -> Cycles { return 100; });
   runtime::SchedOptions opts;
   opts.measure_phases = false;
-  opts.strategy = shards == 1 ? runtime::Strategy::chunked(1)
-                              : runtime::Strategy::self();
-  opts.index_shards = shards;
+  opts.strategy = state.range(2) != 0 ? runtime::Strategy::self()
+                                      : runtime::Strategy::chunked(1);
+  RContext probe(0, procs, /*measure_phases=*/false);
+  const bool rule_shards =
+      runtime::index_shards_for(probe, opts.strategy, false, n) > 1;
   exec::ThreadTeam& team = team_of(procs);
   const bool sharded =
       runtime::run_threads_on(team, prog, opts).counters.shard_grants > 0;
-  if (sharded != (shards > 1)) {
-    state.SkipWithError("the run's index layout does not match G");
+  if (sharded != rule_shards) {
+    state.SkipWithError("the run's index layout does not match the rule");
     return;
   }
   for (auto _ : state) {
@@ -226,14 +229,14 @@ void BM_EndToEnd_FlatLoopPerIteration(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_EndToEnd_FlatLoopPerIteration)
-    ->ArgNames({"b", "P", "G"})
+    ->ArgNames({"b", "P", "self"})
     ->Apply([](benchmark::internal::Benchmark* b) {
       const i64 cores = std::max(1u, std::thread::hardware_concurrency());
       for (i64 n = 256; n <= 65536; n *= 2) {
-        b->Args({n, 1, 1});
+        b->Args({n, 1, 0});
         if (cores > 1) {
+          b->Args({n, cores, 0});
           b->Args({n, cores, 1});
-          b->Args({n, cores, cores});
         }
       }
     })

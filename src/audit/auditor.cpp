@@ -304,16 +304,13 @@ u32 Auditor::release_locked(ProcId w, const void* icb) {
                        static_cast<long long>(granted_sum),
                        static_cast<long long>(s.bound)));
     }
-    const u32 live = shard::live_shards(s.bound, s.nshards);
     for (u32 g = 0; g < s.nshards; ++g) {
-      const i64 expect = g < live ? 1 : 0;
       const i64 got =
           g < s.shard_exhausted.size() ? s.shard_exhausted[g] : 0;
-      if (got != expect) {
+      if (got != 1) {
         v += violate(&s, w, "shard-not-drained",
-                     fmt("shard %u drained %lld times (expected %lld)", g,
-                         static_cast<long long>(got),
-                         static_cast<long long>(expect)));
+                     fmt("shard %u drained %lld times (expected once)", g,
+                         static_cast<long long>(got)));
       }
     }
     if (s.shard_elections != 1) {

@@ -453,46 +453,36 @@ Level exit_from(C& ctx, SchedState<C>& st, LoopId i, Level from_level,
 //                                     child loop: activate index 1 only.
 // ---------------------------------------------------------------------------
 
-/// Fewest iterations per worker at which the threads engine gives a `self`
-/// Doall instance one index shard per worker.  Set from the crossover
-/// sweep BM_EndToEnd_FlatLoopPerIteration in bench/bench_overheads.cpp
-/// (COST 100, b = 256 … 65536; EXPERIMENTS.md E8): on a 4-vCPU Xeon VM at
-/// P = 4, G = P beat the flat index on 9 and 8 of 10 paired runs at
-/// b = 256 in two sweeps, and on 9 or 10 of 10 at every b >= 512.  512 is
-/// the smallest bound that passed 9 of 10 in both, so 512 / 4 per worker.
+/// Fewest iterations per worker at which a `self` Doall instance gets one
+/// index shard per worker.  Set from the crossover sweep
+/// BM_EndToEnd_FlatLoopPerIteration in bench/bench_overheads.cpp (COST 100,
+/// b = 256 … 65536; EXPERIMENTS.md E8): on a 4-vCPU Xeon VM at P = 4, G = P
+/// beat the flat index on 9 and 8 of 10 paired runs at b = 256 in two
+/// sweeps, and on 9 or 10 of 10 at every b >= 512.  512 is the smallest
+/// bound that passed 9 of 10 in both, so 512 / 4 per worker.
 inline constexpr i64 kShardMinItersPerWorker = 128;
 
-/// How many index shards ENTER gives an instance of `b` iterations.
-///   * Doacross instances always get the flat index.  Their liveness needs
-///     the chain's head iteration to be grabbed first, and with shards only
-///     a worker homed on shard 0 does that — a served namespace need not
+/// How many index shards ENTER gives an instance of `b` iterations under
+/// Doall strategy `s`.  One rule on both engines:
+///   * Doacross instances keep the flat index.  Their liveness needs the
+///     chain's head iteration to be grabbed first, and with shards only a
+///     worker homed on shard 0 does that — a served namespace need not
 ///     have one (docs/sharding.md, "Doacross liveness").
-///   * index_shards > 1 forces that many shards (clamped) on both engines.
-///   * The default (1; 0 reads as 1) is the engine's choice.  vtime keeps
-///     the paper's flat index.  On real cores a large instance under
-///     `self` gets G = P, so each grab is a fetch&add on the worker's own
-///     shard line.  `self` is the only kind the crossover sweep measured;
-///     the others keep the flat index.  (The step-sized kinds must: at
-///     G = P a shard has one home worker, whose first grab would take its
-///     whole shard — a static block schedule.)
+///   * A `self` Doall with at least kShardMinItersPerWorker iterations per
+///     worker, and P >= 2, gets G = min(P, shard::kMaxIndexShards), so each
+///     grab is a fetch&add on the worker's own shard line.
+///   * Every other instance keeps the flat index.  `self` is the only kind
+///     the crossover sweep measured.  (The step-sized kinds must: at G = P a
+///     shard has one home worker, whose first grab would take its whole
+///     shard — a static block schedule.)
 template <exec::ExecutionContext C>
-u32 index_shards_for(C& ctx, const SchedOptions& opts, bool doacross, i64 b) {
-  if (doacross) return 1;
-  if (opts.index_shards > 1) {
-    return std::min(opts.index_shards, shard::kMaxIndexShards);
-  }
-  if constexpr (C::kIsSimulated) {
-    (void)ctx;
-    (void)b;
+u32 index_shards_for(C& ctx, const Strategy& s, bool doacross, i64 b) {
+  const u32 procs = std::min(ctx.num_procs(), shard::kMaxIndexShards);
+  if (doacross || s.kind != Strategy::Kind::kSelf || procs < 2 ||
+      b < kShardMinItersPerWorker * static_cast<i64>(procs)) {
     return 1;
-  } else {
-    const u32 procs = std::min(ctx.num_procs(), shard::kMaxIndexShards);
-    if (opts.strategy.kind != Strategy::Kind::kSelf || procs < 2 ||
-        b < kShardMinItersPerWorker * static_cast<i64>(procs)) {
-      return 1;
-    }
-    return procs;
   }
+  return procs;
 }
 
 template <exec::ExecutionContext C>
@@ -589,7 +579,7 @@ void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
       Icb<C>* icb = st.icbs.acquire(ctx);
       const bool doacross = d->doacross.has_value();
       icb->init(cur, b, ivec, doacross, d->depth,
-                index_shards_for(ctx, st.opts, doacross, b));
+                index_shards_for(ctx, st.opts.strategy, doacross, b));
       icb->pool_list = st.list_of(cur, ctx.proc());
       ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kIncrement);
       st.pool.append(ctx, icb->pool_list, icb);
@@ -641,13 +631,13 @@ enum class SearchOutcome : u32 {
 /// Flat: the paper's {index <= bound ; Fetch}.  Sharded: the flat index is
 /// unused, and no single shard index can answer for the whole instance, so
 /// probe the drained-shard election counter instead: {sched_done <
-/// live_shards ; Fetch} is false exactly when every live shard's final
-/// iteration has been granted.
+/// num_shards ; Fetch} is false exactly when every shard's final iteration
+/// has been granted.
 template <exec::ExecutionContext C>
 inline bool icb_has_unscheduled(C& ctx, Icb<C>* ip) {
   if (ip->num_shards > 1) {
     return ctx
-        .sync_op(ip->sched_done, Test::kLT, static_cast<i64>(ip->live_shards),
+        .sync_op(ip->sched_done, Test::kLT, static_cast<i64>(ip->num_shards),
                  Op::kFetch)
         .success;
   }

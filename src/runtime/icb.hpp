@@ -36,19 +36,16 @@
 
 namespace selfsched::runtime {
 
-/// One shard of a sharded low-level index (runtime::index_shards_for):
-/// private dispatch counters plus the contiguous sub-range [lo, hi] of the
+/// One shard of a sharded low-level index (runtime::index_shards_for): a
+/// private `index` counter plus the contiguous sub-range [lo, hi] of the
 /// instance's iteration space this shard owns.  `index` starts at `lo` and
-/// is driven by the same strategy chunk rule as the flat counter, gated on
-/// `hi`; `aux` is the shard-local dispatch sequence counter of the
-/// step-sized strategies.  lo/hi are plain values: written once in
-/// init (published by APPEND, like every other ICB field) and read-only
-/// afterwards.  Cache-line aligned so sibling shards — the whole point of
-/// sharding — never false-share.
+/// is grabbed one iteration at a time ({index <= hi ; Fetch&Add(1)}).
+/// lo/hi are plain values: written once in init (published by APPEND, like
+/// every other ICB field) and read-only afterwards.  Cache-line aligned so
+/// sibling shards — the whole point of sharding — never false-share.
 template <exec::ExecutionContext C>
 struct alignas(kCacheLine) IcbShard {
   typename C::Sync index;
-  typename C::Sync aux;
   i64 lo = 1;
   i64 hi = 0;
 };
@@ -72,7 +69,7 @@ struct Icb {
   /// Next unscheduled iteration.  Invariant: once the ICB is published,
   /// index only grows, except for poison_pool's store of bound+1.  On real
   /// cores a failed ctx_claim still adds its chunk, so index may pass
-  /// bound+1; every reader (dispatch_range, dispatch_sharded,
+  /// bound+1; every reader (dispatch_flat, dispatch_sharded,
   /// icb_has_unscheduled, SEARCH's post-attach re-test, poison_pool) only
   /// compares it against the bound, so no reader can tell an overshoot
   /// from bound+1.  The same holds for each IcbShard::index against hi.
@@ -91,17 +88,15 @@ struct Icb {
   i64 da_flags_cap = 0;
 
   /// Sharded low-level index state (runtime::index_shards_for; see
-  /// docs/sharding.md).  `num_shards` is the instance's G; `live_shards`
-  /// counts the non-empty shards (min(bound, G)) that participate in the
-  /// completion election; `sched_done` counts shards a worker has observed
-  /// drained — the low level is exhausted exactly when sched_done ==
-  /// live_shards, which replaces the flat `{index <= bound}` SEARCH
-  /// pre-test.  Empty when num_shards == 1 (the flat path never touches
-  /// any of this).
+  /// docs/sharding.md).  `num_shards` is the instance's G (never more than
+  /// the bound, so every shard is non-empty); `sched_done` counts shards a
+  /// worker has observed drained — the low level is exhausted exactly when
+  /// sched_done == num_shards, which replaces the flat `{index <= bound}`
+  /// SEARCH pre-test.  Empty when num_shards == 1 (the flat path never
+  /// touches any of this).
   std::unique_ptr<IcbShard<C>[]> shards;
   u32 shards_cap = 0;
   u32 num_shards = 1;
-  u32 live_shards = 0;
   typename C::Sync sched_done;
 
   /// Prepare for (re)use as an instance of loop `l`.
@@ -127,6 +122,7 @@ struct Icb {
             Level dep = kMaxDepth, u32 index_shards = 1) {
     SS_DCHECK(b >= 1);
     SS_DCHECK(index_shards >= 1 && index_shards <= shard::kMaxIndexShards);
+    SS_DCHECK(index_shards == 1 || static_cast<i64>(index_shards) <= b);
     right = left = nullptr;
     loop = l;
     bound = b;
@@ -139,7 +135,6 @@ struct Icb {
     adapt.reset(0);
     adapt_tau.reset(0);
     num_shards = index_shards;
-    live_shards = shard::live_shards(b, index_shards);
     sched_done.reset(0);
     if (index_shards > 1) {
       if (shards_cap < index_shards) {
@@ -151,7 +146,6 @@ struct Icb {
         sh.lo = shard::shard_lo(b, index_shards, g);
         sh.hi = shard::shard_hi(b, index_shards, g);
         sh.index.reset(sh.lo);
-        sh.aux.reset(0);
       }
     }
     if (needs_da_flags) {

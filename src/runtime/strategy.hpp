@@ -326,26 +326,13 @@ Cycles adaptive_clock(C& ctx) {
   }
 }
 
-/// Grab the next block of iterations from one contiguous sub-range [lo, hi]
-/// driven by the (index, aux) counter pair, according to `s`.  This is the
-/// paper's "start:" step generalized twice: to multi-iteration chunks
-/// ({index <= hi ; Fetch&Add(k)}) and to an arbitrary sub-range, so the same
-/// switch serves both the flat low level (lo = 1, hi = bound, the instance's
-/// own counters) and one shard of a sharded index (the shard's counters and
-/// ownership range, with `procs` the shard's worker share so remaining/P
-/// rules see their actual contenders).  With the flat arguments this is
-/// op-for-op and charge-for-charge identical to the pre-sharding dispatcher
-/// — the vtime golden results pin that.
-///
-/// `last_scheduled` on return means "this grab took the final iteration of
-/// [lo, hi]"; the sharded caller converts that into the instance-wide
-/// completion election.
+/// Grab the next block of iterations from the instance's flat index,
+/// according to `s`.  This is the paper's "start:" step generalized to
+/// multi-iteration chunks: size the chunk k, then {index <= bound ;
+/// Fetch&Add(k)}.
 template <exec::ExecutionContext C>
-Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
-                        typename C::Sync& aux, i64 lo, i64 hi, u32 procs,
-                        const Strategy& s) {
-  const i64 b = hi;              // the claim's gate
-  const i64 span = hi - lo + 1;  // total work the chunk rules size against
+Dispatch dispatch_flat(C& ctx, Icb<C>& icb, const Strategy& s) {
+  const i64 b = icb.bound;
 
   i64 k = 1;
   switch (s.kind) {
@@ -358,10 +345,6 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
       // Read the instance's current tuned chunk; first arrival runs a
       // seeding election ({adapt == 0 ; Store k0}) so exactly one worker
       // pays the model evaluation and every loser adopts the winner's k0.
-      // Tuning state stays instance-global under sharding: the tuned chunk
-      // and tau EWMA live in the ICB's own sync vars and the seed optimizes
-      // for the whole instance (bound, all P workers), so every shard grabs
-      // with the same adaptively tuned k.  Only the gate is per-range.
       k = ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
               .fetched;
       if (k <= 0) {
@@ -387,14 +370,14 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
       // The dispatch-sequence counter numbers this grab; the step number
       // alone sizes it.
       const auto seq =
-          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
+          ctx.sync_op(icb.aux, sync::Test::kNone, 0, sync::Op::kIncrement);
       if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      k = step_chunk_at(s, span, procs, seq.fetched);
+      k = step_chunk_at(s, b, ctx.num_procs(), seq.fetched);
       break;
     }
   }
 
-  const auto r = ctx_claim(ctx, index, b, k);
+  const auto r = ctx_claim(ctx, icb.index, b, k);
   if (!r.success) return {};
   Dispatch d;
   d.first = r.fetched;
@@ -404,68 +387,52 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
 }
 
 /// Sharded low-level dispatch (runtime::index_shards_for; see
-/// docs/sharding.md).  The worker probes its home shard first (block mapping
-/// by processor id), then siblings in ascending rotation — steal-on-
-/// exhaustion: a cross-shard probe only happens once the previous shard was
-/// observed drained.  The instance-wide exactly-once completion election
-/// generalizes from "the grab that took iteration b" to "the grab that took
-/// the last iteration of the last live shard to drain": each live shard's
-/// final iteration is granted exactly once (same monotone-index argument as
-/// the flat gate), that grab increments `sched_done`, and the increment that
-/// observes live_shards - 1 wins the election.
+/// docs/sharding.md).  Only `self` instances shard, so a shard grab is one
+/// iteration, {index <= hi ; Fetch&Add(1)}.  The worker probes its home
+/// shard first (block mapping by processor id), then siblings in ascending
+/// rotation — steal-on-exhaustion: a cross-shard probe only happens once
+/// the previous shard was observed drained.  The instance-wide exactly-once
+/// completion election generalizes from "the grab that took iteration b"
+/// to "the grab that took the last iteration of the last shard to drain":
+/// each shard's final iteration is granted exactly once (same
+/// monotone-index argument as the flat gate), that grab increments
+/// `sched_done`, and the increment that observes num_shards - 1 wins the
+/// election.
 ///
 /// On real cores a probe first reads the shard's index and skips the shard
 /// when it is already past hi, so probing a drained shard writes nothing.
-///
-/// vtime topology model: a probe of a shard homed outside the worker's
-/// topology group is charged cross_group_sync_extra, and every steal probe
-/// (any non-home shard) adds steal_probe_extra.  All decisions are functions
-/// of engine-serialized sync ops, so sharded runs — including which shard a
-/// worker stole from — record and replay bit-identically.
+/// All decisions are functions of engine-serialized sync ops, so sharded
+/// vtime runs — including which shard a worker stole from — record and
+/// replay bit-identically.
 template <exec::ExecutionContext C>
-Dispatch dispatch_sharded(C& ctx, Icb<C>& icb, const Strategy& s) {
+Dispatch dispatch_sharded(C& ctx, Icb<C>& icb) {
   const u32 g_count = icb.num_shards;
-  const u32 procs = ctx.num_procs();
-  const u32 home = shard::home_shard_of(ctx.proc(), procs, g_count);
-  const u32 sprocs = shard::shard_procs(procs, g_count);
+  const u32 home = shard::home_shard_of(ctx.proc(), ctx.num_procs(), g_count);
   for (u32 probe = 0; probe < g_count; ++probe) {
     const u32 g = (home + probe) % g_count;
     IcbShard<C>& sh = icb.shards[g];
-    if (sh.lo > sh.hi) continue;  // empty shard (bound < G): never granted
     const bool cross = g != home;
-    if (cross) {
-      trace::bump(ctx, &trace::Counters::cross_shard_ops);
-      if constexpr (C::kIsSimulated) {
-        ctx.charge(ctx.costs().steal_probe_extra);
-      }
-    }
-    if constexpr (C::kIsSimulated) {
-      const auto& cm = ctx.costs();
-      if (cm.topo_groups > 1 &&
-          shard::topo_group_of(ctx.proc(), procs, cm.topo_groups) !=
-              shard::shard_home_group(g, g_count, cm.topo_groups)) {
-        ctx.charge(cm.cross_group_sync_extra);
-      }
-    } else if (sh.index.load() > sh.hi) {
+    if (cross) trace::bump(ctx, &trace::Counters::cross_shard_ops);
+    if constexpr (!C::kIsSimulated) {
       // Drained (the index only grows): skip it with a read.  A failed
       // claim would still write the line, and late in an instance every
       // stealer probes the same drained shards on every grab.
-      continue;
+      if (sh.index.load() > sh.hi) continue;
     }
-    Dispatch d =
-        dispatch_range(ctx, icb, sh.index, sh.aux, sh.lo, sh.hi, sprocs, s);
-    if (d.count == 0) continue;  // shard drained: steal from the next sibling
+    const auto r = ctx_claim(ctx, sh.index, sh.hi, 1);
+    if (!r.success) continue;  // shard drained: steal from the next sibling
+    Dispatch d;
+    d.first = r.fetched;
+    d.count = 1;
     trace::bump(ctx, &trace::Counters::shard_grants);
     if (cross) trace::bump(ctx, &trace::Counters::shard_steals);
     audit::on_shard_grant(ctx, &icb, g, d.first, d.count, cross);
-    if (d.last_scheduled) {
+    if (d.first == sh.hi) {
       // This grab drained shard g: join the completion election.
       const auto done = ctx.sync_op(icb.sched_done, sync::Test::kNone, 0,
                                     sync::Op::kIncrement);
-      const bool complete =
-          done.fetched + 1 == static_cast<i64>(icb.live_shards);
-      audit::on_shard_exhaust(ctx, &icb, g, complete);
-      d.last_scheduled = complete;
+      d.last_scheduled = done.fetched + 1 == static_cast<i64>(g_count);
+      audit::on_shard_exhaust(ctx, &icb, g, d.last_scheduled);
     }
     return d;
   }
@@ -474,24 +441,11 @@ Dispatch dispatch_sharded(C& ctx, Icb<C>& icb, const Strategy& s) {
 
 /// Grab the next block of iterations from `icb` according to `s` — the flat
 /// paper path when the instance's index is unsharded, the distributed path
-/// otherwise.  Under the vtime topology model a flat index is homed in
-/// group 0, so with topo_groups > 1 every dispatch from another group pays
-/// the remote-hop premium — the saturation that E17 measures and sharding
-/// removes.  With the default platform (topo_groups == 1) the flat path is
-/// bit-identical to the pre-sharding dispatcher.
+/// otherwise.
 template <exec::ExecutionContext C>
 Dispatch dispatch_iterations(C& ctx, Icb<C>& icb, const Strategy& s) {
-  if (icb.num_shards > 1) return dispatch_sharded(ctx, icb, s);
-  if constexpr (C::kIsSimulated) {
-    const auto& cm = ctx.costs();
-    if (cm.topo_groups > 1 &&
-        shard::topo_group_of(ctx.proc(), ctx.num_procs(), cm.topo_groups) !=
-            0) {
-      ctx.charge(cm.cross_group_sync_extra);
-    }
-  }
-  return dispatch_range(ctx, icb, icb.index, icb.aux, 1, icb.bound,
-                        ctx.num_procs(), s);
+  if (icb.num_shards > 1) return dispatch_sharded(ctx, icb);
+  return dispatch_flat(ctx, icb, s);
 }
 
 /// Adaptive feedback: fold one completed chunk's measured duration into the

@@ -21,15 +21,15 @@
 //           SEARCHes for new work.
 //
 // The grab and the update are the two sync ops per chunk that make up the
-// paper's O1.  vtime keeps both as written: one update per chunk, against
-// the flat index.  On real cores each is a write to a line every worker
-// writes, so the threads engine defers the update: a worker counts its
-// completions locally and publishes them once per attachment, at the points
-// where it stops taking work from the instance (a failed grab, a yield, an
-// aborted chunk).  Together with the per-worker index shards that ENTER
-// gives large `self` Doall instances (index_shards_for), that leaves a
-// worker no shared write per iteration (docs/scheduling.md, "Completion
-// count").
+// paper's O1.  vtime keeps the update as written: one per chunk.  On real
+// cores each is a write to a line every worker writes, so the threads
+// engine defers the update: a worker counts its completions locally and
+// publishes them once per attachment, at the points where it stops taking
+// work from the instance (a failed grab, a yield, an aborted chunk).
+// Together with the per-worker index shards that ENTER gives large `self`
+// Doall instances on both engines (index_shards_for), that leaves a worker
+// no shared write per iteration on real cores (docs/scheduling.md,
+// "Completion count").
 #pragma once
 
 #include <cmath>
@@ -321,7 +321,9 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
     // all the signal (the seed is a prior, the first measurements correct
     // it); late chunks measure tail stragglers, and freezing the second
     // half makes the steady-state dispatch path exactly as cheap as a
-    // static chunker's — no clock reads, no feedback sync ops.
+    // static chunker's — no clock reads, no feedback sync ops.  The window
+    // assumes the flat [1, b] layout; index_shards_for never shards
+    // `adaptive`, so that is the only layout it sees.
     const bool tuning = strat.kind == Strategy::Kind::kAdaptive &&
                         grab.first <= (cursor.b + 1) / 2;
     Cycles chunk_t0 = 0;

@@ -32,14 +32,4 @@ CostModel CostModel::expensive_sync() {
   return c;
 }
 
-CostModel CostModel::numa(u32 groups) {
-  CostModel c;  // Cedar base costs.
-  c.topo_groups = groups == 0 ? 1 : groups;
-  // A remote hop through the inter-node network costs several times the
-  // local round trip; probing a sibling shard also walks its descriptor.
-  c.cross_group_sync_extra = 4 * c.sync_op;
-  c.steal_probe_extra = c.sync_op;
-  return c;
-}
-
 }  // namespace selfsched::vtime

@@ -39,20 +39,6 @@ struct CostModel {
   /// remaining/P division, factoring's batch computation).
   Cycles dispatch_arith = 4;
 
-  /// --- Topology (sharded-dispatch platform description) ---------------
-  /// The simulated machine is split into `topo_groups` equal blocks of
-  /// processors (sockets / NUMA nodes).  A sync op on an index counter
-  /// homed in the issuing worker's own group costs the base `sync_op`;
-  /// touching a counter homed in another group adds
-  /// `cross_group_sync_extra` (the remote-hop premium), and each sibling
-  /// shard probed during steal-on-exhaustion adds `steal_probe_extra` on
-  /// top.  With the defaults (one group, zero extras) the model is exactly
-  /// the pre-topology machine, so all existing golden vtime results are
-  /// unchanged.
-  u32 topo_groups = 1;
-  Cycles cross_group_sync_extra = 0;
-  Cycles steal_probe_extra = 0;
-
   /// Cedar-like ratios: moderately expensive shared-memory sync through a
   /// multistage network.
   static CostModel cedar();
@@ -64,14 +50,6 @@ struct CostModel {
   /// Software-emulated synchronization (lock + read-modify-write through a
   /// bus): every shared access hurts, pushing the optimal chunk size up.
   static CostModel expensive_sync();
-
-  /// Cedar ratios on a `groups`-node NUMA machine: intra-group sync ops at
-  /// the base cost, a steep remote-hop premium, and a per-probe steal
-  /// surcharge.  This is the platform description behind E17
-  /// (bench_shard_scale): a flat index is homed in group 0 and makes every
-  /// other group pay the premium on every grab; G-way sharding keeps home
-  /// grabs local.
-  static CostModel numa(u32 groups);
 };
 
 }  // namespace selfsched::vtime

@@ -311,15 +311,16 @@ TEST(AuditShard, ReleaseCatchesUndrainedShardAndBrokenConservation) {
 
 TEST(AuditShard, CleanShardedSweepsAreSilentOnBothEngines) {
   // End to end: audited sharded runs across shard counts on both engines
-  // must deliver shard hooks (audit_events > 0) and zero violations.
-  for (const u32 g : {2u, 4u, 8u}) {
+  // must deliver shard hooks (audit_events > 0) and zero violations.  A
+  // `self` instance of kShardMinItersPerWorker * G + 1 iterations on G
+  // workers gets G ragged shards.
+  for (const u32 g : {2u, 4u}) {
+    const i64 n = runtime::kShardMinItersPerWorker * g + 1;
     SchedOptions opts;
-    opts.index_shards = g;
-    opts.strategy = runtime::Strategy::gss();
     Auditor vsink;
     opts.audit_sink = &vsink;
     const RunResult rv =
-        runtime::run_vtime(workloads::nested_pair(3, 40, 25), 6, opts);
+        runtime::run_vtime(workloads::nested_pair(3, n, 25), g, opts);
     EXPECT_EQ(rv.audit_violations, 0u) << "vtime G=" << g << "\n"
                                        << rv.audit_report;
     EXPECT_GT(rv.counters.audit_events, 0u);
@@ -328,7 +329,7 @@ TEST(AuditShard, CleanShardedSweepsAreSilentOnBothEngines) {
     Auditor tsink;
     opts.audit_sink = &tsink;
     const RunResult rt =
-        runtime::run_threads(workloads::nested_pair(3, 40, 25), 4, opts);
+        runtime::run_threads(workloads::nested_pair(3, n, 25), g, opts);
     EXPECT_EQ(rt.audit_violations, 0u) << "threads G=" << g << "\n"
                                        << rt.audit_report;
     EXPECT_GT(rt.counters.audit_events, 0u);

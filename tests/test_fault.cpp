@@ -547,25 +547,28 @@ TEST(FaultShard, CancelledShardedRunDrainsAllShardsOnBothEngines) {
   // A body throw mid-run with a sharded index: poison_pool must stop every
   // shard (each shard's index is poisoned past its own hi), the pool must
   // drain, and the cancelled-mode auditor must stay silent.  A second run
-  // on recycled ICBs then reuses the shard arrays cleanly.
+  // on recycled ICBs then reuses the shard arrays cleanly.  Both loops are
+  // `self` Doalls large enough to get one shard per worker.
+  constexpr i64 kN = runtime::kShardMinItersPerWorker * 4 + 1;
   for (const bool threads : {false, true}) {
-    const auto prog = throwing_doall(300, 100);
+    const auto prog = throwing_doall(kN, kN / 3);
     SchedOptions opts;
     opts.on_body_error = OnBodyError::kReturn;
-    opts.index_shards = 4;
     opts.audit = true;
     opts.audit_abort = false;
     const RunResult r = threads ? runtime::run_threads(prog, 4, opts)
                                 : runtime::run_vtime(prog, 4, opts);
     ASSERT_TRUE(r.failure.has_value()) << "threads=" << threads;
     EXPECT_EQ(r.counters.cancellations, 1u);
+    EXPECT_GT(r.counters.shard_grants, 0u) << "threads=" << threads;
     EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
 
-    const auto clean = workloads::flat_doall(120, nullptr);
+    const auto clean = workloads::flat_doall(kN, nullptr);
     const RunResult r2 = threads ? runtime::run_threads(clean, 4, opts)
                                  : runtime::run_vtime(clean, 4, opts);
     EXPECT_FALSE(r2.failure.has_value()) << "threads=" << threads;
-    EXPECT_EQ(r2.total.iterations, 120u);
+    EXPECT_EQ(r2.total.iterations, static_cast<u64>(kN));
+    EXPECT_EQ(r2.counters.shard_grants, static_cast<u64>(kN));
   }
 }
 
@@ -573,11 +576,11 @@ TEST(FaultShard, DeadlineExpiryDrainsShardedInstancesDeterministically) {
   // Virtual-deadline cancellation of a run whose instances are sharded:
   // expiry is deterministic (same makespan, ops, iterations twice), yields
   // a structured kDeadline failure, and leaves nothing undrained.
-  const auto prog = workloads::nested_pair(8, 8, 400);
+  const auto prog = workloads::nested_pair(
+      8, runtime::kShardMinItersPerWorker * 4 + 1, 400);
   SchedOptions opts;
   opts.on_body_error = OnBodyError::kReturn;
-  opts.deadline_vcycles = 300;
-  opts.index_shards = 4;
+  opts.deadline_vcycles = 3000;
   opts.audit = true;
   opts.audit_abort = false;
   const RunResult a = runtime::run_vtime(prog, 4, opts);
@@ -585,6 +588,7 @@ TEST(FaultShard, DeadlineExpiryDrainsShardedInstancesDeterministically) {
   ASSERT_TRUE(a.failure.has_value());
   EXPECT_EQ(a.failure->kind, FailureRecord::Kind::kDeadline);
   EXPECT_EQ(a.counters.deadline_expirations, 1u);
+  EXPECT_GT(a.counters.shard_grants, 0u);
   EXPECT_EQ(a.audit_violations, 0u) << a.audit_report;
   ASSERT_TRUE(b.failure.has_value());
   EXPECT_EQ(a.makespan, b.makespan);

@@ -143,19 +143,16 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------- determinism / replay --
 
 TEST(HotpathFlatEquivalence, ExplicitDefaultsAreBitIdenticalToSeedPath) {
-  // index_shards=1 / pool_shards=1 must not merely be correct — they must
-  // take the flat seed code path: identical makespan, op count and grant
-  // log to a run with all-default options, and no shard counter may tick.
+  // pool_shards=1 must not merely be correct — it must take the flat seed
+  // code path: identical makespan, op count and grant log to a run with
+  // all-default options, and no shard counter may tick (factoring2 never
+  // shards its index).
   const SchedOptions defaults;
-  EXPECT_EQ(defaults.index_shards, 1u) << "flat index must be the default";
   EXPECT_EQ(defaults.pool_shards, 1u) << "one list per loop is the default";
   auto run_with = [](bool explicit_flags) {
     SchedOptions opts;
     opts.strategy = Strategy::factoring2();
-    if (explicit_flags) {
-      opts.index_shards = 1;
-      opts.pool_shards = 1;
-    }
+    if (explicit_flags) opts.pool_shards = 1;
     opts.trace_events = true;
     auto prog = workloads::nested_pair(4, 50, 30);
     return runtime::run_vtime(prog, 8, opts);

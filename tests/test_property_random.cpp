@@ -41,7 +41,6 @@ TEST_P(RandomProgramVtime, MatchesSerialOracle) {
 
   runtime::SchedOptions opts;
   opts.strategy = strategy_for_seed(seed);
-  opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
   const u32 procs = 1 + static_cast<u32>(seed % 9);
   const auto r = runtime::run_vtime(par_prog, procs, opts);
 
@@ -72,7 +71,6 @@ TEST_P(RandomProgramThreads, MatchesSerialOracle) {
 
   runtime::SchedOptions opts;
   opts.strategy = strategy_for_seed(seed + 1);
-  opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
   const u32 procs = 1 + static_cast<u32>(seed % 4);
   runtime::run_threads(par_prog, procs, opts);
 
@@ -93,7 +91,6 @@ TEST_P(RandomProgramDeterminism, VtimeRunsAreBitIdentical) {
     auto prog = workloads::random_program(seed, cfg);
     runtime::SchedOptions opts;
     opts.strategy = strategy_for_seed(seed);
-    opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
     return runtime::run_vtime(prog, 5, opts);
   };
   const auto a = run_once();

@@ -10,10 +10,13 @@
 
 #include "exec/real_context.hpp"
 #include "runtime/bar_count.hpp"
+#include "runtime/high_level.hpp"
 #include "runtime/icb_pool.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/strategy.hpp"
 #include "runtime/task_pool.hpp"
+#include "vtime/context.hpp"
+#include "vtime/engine.hpp"
 
 namespace selfsched::runtime {
 namespace {
@@ -614,7 +617,7 @@ TEST(ShardMath, PartitionTilesTheBoundExactly) {
       }
       EXPECT_EQ(total, b) << "b=" << b << " G=" << g_count;
       EXPECT_LE(max_size - min_size, 1) << "b=" << b << " G=" << g_count;
-      EXPECT_EQ(nonempty, shard::live_shards(b, g_count))
+      EXPECT_EQ(nonempty, std::min<i64>(b, g_count))
           << "b=" << b << " G=" << g_count;
     }
   }
@@ -631,12 +634,12 @@ TEST(ShardMath, RaggedBoundExactSplit) {
   EXPECT_EQ(shard::shard_hi(b, 4, 2), 8);
   EXPECT_EQ(shard::shard_lo(b, 4, 3), 9);
   EXPECT_EQ(shard::shard_hi(b, 4, 3), 10);
-  EXPECT_EQ(shard::live_shards(b, 4), 4u);
 }
 
 TEST(ShardMath, BoundSmallerThanShardCountDegenerates) {
-  // b=3, G=8: shards 0..2 own one iteration each; 3..7 are empty (lo > hi)
-  // and must never be granted from or counted in the completion election.
+  // b=3, G=8: shards 0..2 own one iteration each; 3..7 are empty (lo > hi).
+  // The runtime never builds such a split (it shards only when b >= G), but
+  // the closed forms stay total, so the auditor can evaluate any split.
   const i64 b = 3;
   for (u32 g = 0; g < 3; ++g) {
     EXPECT_EQ(shard::shard_lo(b, 8, g), static_cast<i64>(g) + 1);
@@ -646,7 +649,6 @@ TEST(ShardMath, BoundSmallerThanShardCountDegenerates) {
     EXPECT_EQ(shard::shard_size(b, 8, g), 0);
     EXPECT_GT(shard::shard_lo(b, 8, g), shard::shard_hi(b, 8, g));
   }
-  EXPECT_EQ(shard::live_shards(b, 8), 3u);
 }
 
 TEST(ShardMath, HomeShardBlockMapping) {
@@ -672,26 +674,63 @@ TEST(ShardMath, HomeShardBlockMapping) {
   }
 }
 
+TEST(ShardRule, VtimeAndThreadsPickTheSameShardCount) {
+  // index_shards_for is one rule on both engines: only a `self` Doall with
+  // at least kShardMinItersPerWorker iterations per worker, on P >= 2,
+  // shards, into min(P, kMaxIndexShards) shards.
+  struct Row {
+    Strategy s;
+    bool doacross;
+    i64 b;
+    u32 procs;
+    u32 want;
+  };
+  constexpr i64 kMin = kShardMinItersPerWorker;
+  const std::vector<Row> rows = {
+      {Strategy::self(), false, kMin * 4 - 1, 4, 1},
+      {Strategy::self(), false, kMin * 4, 4, 4},
+      {Strategy::self(), false, kMin * 2, 2, 2},
+      {Strategy::self(), false, kMin * 2 - 1, 2, 1},
+      {Strategy::self(), false, 1 << 20, 1, 1},
+      {Strategy::self(), true, kMin * 4, 4, 1},
+      {Strategy::self(), false, kMin * 64, 72, 64},
+      {Strategy::self(), false, kMin * 64 - 1, 72, 1},
+      {Strategy::adaptive(), false, 1 << 16, 4, 1},
+      {Strategy::chunked(4), false, 1 << 16, 4, 1},
+      {Strategy::gss(), false, 1 << 16, 4, 1},
+  };
+  for (const Row& row : rows) {
+    vtime::Engine engine(row.procs);
+    vtime::VContext vctx(engine, 0, vtime::CostModel::cedar());
+    RContext rctx(0, row.procs);
+    const u32 v = index_shards_for(vctx, row.s, row.doacross, row.b);
+    const u32 r = index_shards_for(rctx, row.s, row.doacross, row.b);
+    EXPECT_EQ(v, row.want) << row.s.name() << " doacross=" << row.doacross
+                           << " b=" << row.b << " P=" << row.procs;
+    EXPECT_EQ(v, r) << row.s.name() << " doacross=" << row.doacross
+                    << " b=" << row.b << " P=" << row.procs;
+  }
+}
+
 TEST(Shard, IcbInitSetsCountersToShardRangesAndRecycles) {
   RContext ctx(0, 4);
   Icb<RContext> icb;
   icb.init(0, 10, IndexVec{}, false, kMaxDepth, /*index_shards=*/4);
   EXPECT_EQ(icb.num_shards, 4u);
-  EXPECT_EQ(icb.live_shards, 4u);
   EXPECT_EQ(icb.sched_done.load(), 0);
   for (u32 g = 0; g < 4; ++g) {
     EXPECT_EQ(icb.shards[g].lo, shard::shard_lo(10, 4, g));
     EXPECT_EQ(icb.shards[g].hi, shard::shard_hi(10, 4, g));
     EXPECT_EQ(icb.shards[g].index.load(), icb.shards[g].lo);
-    EXPECT_EQ(icb.shards[g].aux.load(), 0);
   }
-  // Recycle into a wider, degenerate split: capacity grows, empty shards
-  // (b < G) come out with lo > hi, and the live count shrinks to b.
-  icb.init(1, 3, IndexVec{}, false, kMaxDepth, /*index_shards=*/8);
+  // Recycle into a wider split: capacity grows and every shard is re-armed
+  // at its own lo.
+  icb.shards[0].index.store(99);
+  icb.init(1, 20, IndexVec{}, false, kMaxDepth, /*index_shards=*/8);
   EXPECT_EQ(icb.num_shards, 8u);
-  EXPECT_EQ(icb.live_shards, 3u);
-  for (u32 g = 3; g < 8; ++g) {
-    EXPECT_GT(icb.shards[g].lo, icb.shards[g].hi);
+  for (u32 g = 0; g < 8; ++g) {
+    EXPECT_EQ(icb.shards[g].lo, shard::shard_lo(20, 8, g));
+    EXPECT_EQ(icb.shards[g].index.load(), icb.shards[g].lo);
   }
   // And back down to the flat layout: sharded state must not leak.
   icb.init(2, 5, IndexVec{}, false);
@@ -743,36 +782,6 @@ std::vector<std::vector<i64>> sharded_drain(i64 b, u32 g_count,
   return per_shard;
 }
 
-TEST(Shard, PerShardChunkSequencesMatchClosedForm) {
-  // Each shard runs the strategy's chunk rule against its own sub-range with
-  // the shard's worker share as P — so a shard of size n on P/G workers
-  // must produce exactly closed_form(n, s, shard_procs(P, G)), grab for
-  // grab.  (kAdaptive is excluded: its chunk is deliberately tuned
-  // instance-globally, not per shard.)
-  const std::vector<Strategy> strategies = {
-      Strategy::chunked(4),
-      Strategy::gss(),
-      Strategy::factoring2(),
-      Strategy::trapezoid_tuned(),
-      Strategy::trapezoid(16, 2),
-  };
-  const u32 procs = 8;
-  for (const i64 b : {7, 64, 100, 333}) {
-    for (const u32 g_count : {2u, 4u}) {
-      const u32 sprocs = shard::shard_procs(procs, g_count);
-      for (const auto& s : strategies) {
-        const auto got = sharded_drain(b, g_count, s, procs);
-        for (u32 g = 0; g < g_count; ++g) {
-          const i64 size = shard::shard_size(b, g_count, g);
-          const auto want = closed_form(size, s, sprocs);
-          EXPECT_EQ(got[g], want) << s.name() << " b=" << b
-                                  << " G=" << g_count << " shard=" << g;
-        }
-      }
-    }
-  }
-}
-
 TEST(Shard, SingleShardMatchesFlatSequences) {
   // G=1 must be indistinguishable from the flat dispatcher: same grabs, in
   // the same order, for every strategy the flat conformance sweep covers.
@@ -787,12 +796,12 @@ TEST(Shard, SingleShardMatchesFlatSequences) {
 TEST(Shard, StealOrderIsHomeFirstThenRotation) {
   // A single worker of an 8-proc team homes shard 0 and, as each shard
   // drains, rotates upward: shard g's first grab comes only after every
-  // grab of shards 0..g-1.  With chunk(3), b=10, G=4 the expected global
-  // grab order is [1,3],[4..6] from shard 0... i.e. firsts ascend.
+  // grab of shards 0..g-1.  With b=10, G=4 the grabs are single iterations
+  // 1, 2, ..., 10: firsts ascend.
   RContext ctx(0, 8);
   Icb<RContext> icb;
   icb.init(0, 10, IndexVec{}, false, kMaxDepth, 4);
-  const Strategy s = Strategy::chunked(3);
+  const Strategy s = Strategy::self();
   i64 prev_first = 0;
   u32 grabs = 0;
   bool last = false;
@@ -805,8 +814,8 @@ TEST(Shard, StealOrderIsHomeFirstThenRotation) {
     last = d.last_scheduled;
   }
   EXPECT_TRUE(last);
-  EXPECT_EQ(grabs, 4u);  // shards of size 3,3,2,2: one chunk(3) grab each
-  EXPECT_EQ(icb.sched_done.load(), 4);  // every live shard drained once
+  EXPECT_EQ(grabs, 10u);  // a shard grab is one iteration
+  EXPECT_EQ(icb.sched_done.load(), 4);  // every shard drained once
 }
 
 // ------------------------------------------------------------ render_gantt --

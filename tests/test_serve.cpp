@@ -318,15 +318,17 @@ TEST(Serve, OversubscribedDoacrossChainsMatchTheSerialOracle) {
 }
 
 TEST(Serve, ShardedIndexChainsAndFlatLoopsComplete) {
-  // A closed loop of served chains and flat loops with index_shards = 4,
-  // shaped like perfbench's serve_mix (3 workers, 2 tenants, 6 in flight).
-  // A sharded chain needs its head iteration grabbed first, which only a
+  // A closed loop of served chains and flat loops, shaped like perfbench's
+  // serve_mix (3 workers, 2 tenants, 6 in flight).  The flat loops are
+  // large enough that `self` gives them one index shard per worker.  A
+  // sharded chain would need its head iteration grabbed first, which only a
   // worker homed on shard 0 does, and a served namespace need not have
-  // one: its other workers then spin on heads nobody grabs.  Doacross
-  // instances now keep the flat index whatever G is.  The deadline turns a
-  // hang into a failure; every result is checked against the serial
-  // oracle.
+  // one: its other workers would then spin on heads nobody grabs.  So
+  // Doacross instances keep the flat index however long they are.  The
+  // deadline turns a hang into a failure; every result is checked against
+  // the serial oracle.
   constexpr i64 kN = 512;
+  static_assert(kN >= runtime::kShardMinItersPerWorker * 3);
   constexpr u32 kDepth = 6;
   constexpr u64 kOps = 3000;
   serve::ServeOptions so;
@@ -355,7 +357,6 @@ TEST(Serve, ShardedIndexChainsAndFlatLoopsComplete) {
     serve::SubmitOptions s;
     s.tenant = submitted / 2 % 2;
     s.deadline_ms = 5000;
-    s.sched.index_shards = 4;
     std::fill(outs[slot].begin(), outs[slot].end(), 0);
     auto out = svc.submit(std::make_shared<const program::NestedLoopProgram>(
                               oversubscribed_program(shape, outs[slot])),

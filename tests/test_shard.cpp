@@ -1,10 +1,12 @@
-// Sharded per-instance dispatch (distributed chunk calculation, ISSUE 8):
-// the differential battery pinning SchedOptions::index_shards.  Every
-// strategy kind x {Doall, Doacross} x G in {1, 2, 4} must preserve the
-// serial iteration multiset across a 4-schedule sweep with the auditor
-// shadowing each run; a recorded sharded vtime run — including which shard
-// every worker stole from — must replay bit-identically; G=1 must be
-// indistinguishable from the flat paper path; and the new shard counters
+// Sharded per-instance dispatch (distributed chunk calculation): the
+// differential battery pinning runtime::index_shards_for's rule, which
+// gives a `self` Doall of at least kShardMinItersPerWorker iterations per
+// worker one index shard per worker on both engines.  Every strategy kind x
+// {Doall, Doacross} x G in {1, 2, 4} must preserve the serial iteration
+// multiset across a 4-schedule sweep with the auditor shadowing each run; a
+// recorded sharded vtime run — including which shard every worker stole
+// from — must replay bit-identically; an instance below the threshold must
+// be indistinguishable from the flat paper path; and the shard counters
 // must obey their conservation relations.
 #include <gtest/gtest.h>
 
@@ -12,9 +14,9 @@
 #include <vector>
 
 #include "program/ast.hpp"
+#include "runtime/high_level.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/verify.hpp"
-#include "vtime/costs.hpp"
 #include "workloads/iteration_cost.hpp"
 #include "workloads/programs.hpp"
 
@@ -59,8 +61,8 @@ runtime::ProgramBuilder doall_builder(i64 n1, i64 n2) {
 }
 
 /// Single Doacross chain of n iterations, dependence distance 2.  Doacross
-/// instances keep the flat index whatever G is (docs/sharding.md), so these
-/// runs check that a G > 1 setting leaves chains correct.
+/// instances keep the flat index however long they are (docs/sharding.md),
+/// so these runs check that chains at a sharding size stay correct.
 runtime::ProgramBuilder doacross_builder(i64 n) {
   return [n](const program::BodyFactory& bodies) {
     program::DoacrossSpec spec;
@@ -87,7 +89,19 @@ std::vector<ChunkGrant> chunk_log(const RunResult& r) {
   return out;
 }
 
+/// The smallest ragged bound at which `self` shards G ways on G workers:
+/// one past the threshold, so shard sizes differ by one.
+constexpr i64 sharded_bound(u32 g) {
+  return runtime::kShardMinItersPerWorker * static_cast<i64>(g) + 1;
+}
+
 // ------------------------------------------ differential matrix (vtime) --
+
+/// Parameter G of the matrix: the shard count the rule gives `self`.  G = 1
+/// runs 6 workers on short instances (the flat index); G > 1 runs G workers
+/// on instances of sharded_bound(G) iterations.
+u32 matrix_procs(u32 g) { return g == 1 ? 6 : g; }
+i64 matrix_bound(u32 g) { return g == 1 ? 40 : sharded_bound(g); }
 
 class ShardMatrix
     : public ::testing::TestWithParam<std::tuple<u32, u32>> {};
@@ -96,13 +110,13 @@ TEST_P(ShardMatrix, DoallMatchesSerialOracleAcrossSchedules) {
   const auto [si, g] = GetParam();
   SchedOptions opts;
   opts.strategy = portfolio()[si];
-  opts.index_shards = g;
   opts.audit = true;  // audit_abort=true: any shard violation fails loudly
   runtime::ScheduleSweep sweep;
   sweep.schedules = 4;
   sweep.base_seed = 31;
   const auto d = runtime::differential_check(
-      doall_builder(3, 40), /*procs=*/6, EngineKind::kVtime, opts, sweep);
+      doall_builder(3, matrix_bound(g)), matrix_procs(g), EngineKind::kVtime,
+      opts, sweep);
   EXPECT_TRUE(d.ok) << portfolio()[si].name() << " G=" << g << ": "
                     << d.detail;
   EXPECT_EQ(d.schedules_run, 4u);
@@ -112,13 +126,13 @@ TEST_P(ShardMatrix, DoacrossMatchesSerialOracleAcrossSchedules) {
   const auto [si, g] = GetParam();
   SchedOptions opts;
   opts.doacross_strategy = portfolio()[si];
-  opts.index_shards = g;
   opts.audit = true;
   runtime::ScheduleSweep sweep;
   sweep.schedules = 4;
   sweep.base_seed = 47;
   const auto d = runtime::differential_check(
-      doacross_builder(40), /*procs=*/6, EngineKind::kVtime, opts, sweep);
+      doacross_builder(matrix_bound(g)), matrix_procs(g), EngineKind::kVtime,
+      opts, sweep);
   EXPECT_TRUE(d.ok) << portfolio()[si].name() << " G=" << g << ": "
                     << d.detail;
   EXPECT_EQ(d.schedules_run, 4u);
@@ -134,30 +148,32 @@ TEST(ShardThreads, ShardedMatchesSerialOracleOnThreads) {
   // threads, audited, against the serial oracle.
   for (const u32 g : {2u, 4u}) {
     SchedOptions opts;
-    opts.strategy = Strategy::gss();
-    opts.index_shards = g;
     opts.audit = true;
     const auto d = runtime::differential_check(
-        doall_builder(3, 60), /*procs=*/4, EngineKind::kThreads, opts);
+        doall_builder(3, sharded_bound(g)), g, EngineKind::kThreads, opts);
     EXPECT_TRUE(d.ok) << "G=" << g << ": " << d.detail;
   }
 }
 
 TEST(ShardRandomSweep, RandomProgramsHoldUnderSharding) {
   // Seeded random nests (serial containers, IFs, Doacross leaves, zero and
-  // expression bounds) with a seed-derived shard count: the structural
-  // edge cases — b=0, b < G, single-iteration instances — all flow through
-  // the sharded init and election paths.
+  // expression bounds) with leaf bounds that straddle the sharding
+  // threshold and a seed-derived worker count: flat and sharded instances
+  // of every size run side by side, and the structural edge cases flow
+  // through the sharded init and election paths.
   for (u64 seed = 800; seed < 808; ++seed) {
-    auto builder = [seed](const program::BodyFactory& bodies) {
-      return workloads::random_program(seed, {}, bodies);
+    const u32 procs = 2 + static_cast<u32>(seed % 4);
+    workloads::RandomProgramConfig cfg;
+    cfg.max_depth = 2;
+    cfg.max_leaf_bound = 2 * sharded_bound(procs);
+    auto builder = [seed, cfg](const program::BodyFactory& bodies) {
+      return workloads::random_program(seed, cfg, bodies);
     };
     SchedOptions opts;
-    opts.index_shards = 1 + static_cast<u32>(seed % 4);
     opts.audit = true;
-    const auto d = runtime::differential_check(builder, 5, EngineKind::kVtime,
-                                               opts);
-    EXPECT_TRUE(d.ok) << "seed=" << seed << " G=" << opts.index_shards << "\n"
+    const auto d = runtime::differential_check(builder, procs,
+                                               EngineKind::kVtime, opts);
+    EXPECT_TRUE(d.ok) << "seed=" << seed << " P=" << procs << "\n"
                       << d.detail;
   }
 }
@@ -165,22 +181,19 @@ TEST(ShardRandomSweep, RandomProgramsHoldUnderSharding) {
 // ------------------------------------------------- determinism / replay --
 
 TEST(ShardReplay, RecordedShardedRunReplaysBitIdentical) {
-  // A sharded run under the NUMA topology model, seeded-shuffle schedule:
-  // record it, replay the decision trace, and require the whole execution
-  // — makespan, op count, every grant (worker, loop, first, count, start,
-  // end), and the shard counters including which grabs were steals — to
-  // match bit for bit.
+  // A sharded run under a seeded-shuffle schedule: record it, replay the
+  // decision trace, and require the whole execution — makespan, op count,
+  // every grant (worker, loop, first, count, start, end), and the shard
+  // counters including which grabs were steals — to match bit for bit.
   for (const u64 seed : {3ull, 9ull}) {
     SchedOptions rec_opts;
-    rec_opts.strategy = Strategy::gss();
-    rec_opts.index_shards = 4;
-    rec_opts.costs = vtime::CostModel::numa(4);
     rec_opts.trace_events = true;
     rec_opts.record_schedule = true;
     rec_opts.schedule.kind = vtime::ControllerKind::kSeededShuffle;
     rec_opts.schedule.seed = 100 + seed;
     rec_opts.schedule.jitter = 3;
-    auto prog = workloads::flat_doall(300, workloads::constant_cost(40));
+    const i64 n = sharded_bound(8) + 3;
+    auto prog = workloads::flat_doall(n, workloads::constant_cost(40));
     const RunResult recorded = runtime::run_vtime(prog, 8, rec_opts);
     ASSERT_GT(recorded.counters.shard_steals, 0u)
         << "seed=" << seed << ": no steal decisions to replay";
@@ -188,7 +201,7 @@ TEST(ShardReplay, RecordedShardedRunReplaysBitIdentical) {
     SchedOptions rep_opts = rec_opts;
     rep_opts.schedule = vtime::replay_of(rec_opts.schedule);
     rep_opts.schedule.decisions = recorded.schedule_decisions;
-    auto prog2 = workloads::flat_doall(300, workloads::constant_cost(40));
+    auto prog2 = workloads::flat_doall(n, workloads::constant_cost(40));
     const RunResult replayed = runtime::run_vtime(prog2, 8, rep_opts);
 
     EXPECT_FALSE(replayed.schedule_diverged) << "seed=" << seed;
@@ -205,85 +218,42 @@ TEST(ShardReplay, RecordedShardedRunReplaysBitIdentical) {
 }
 
 TEST(ShardFlatEquivalence, SingleShardIsBitIdenticalToDefaultPath) {
-  // index_shards=1 must not merely be correct — it must take the flat code
-  // path: identical makespan, op count, and grant log to a run with the
-  // default options, under both the uniform and the NUMA cost models.
-  for (const bool numa : {false, true}) {
-    auto run_with = [numa](u32 shards) {
-      SchedOptions opts;
-      opts.strategy = Strategy::factoring2();
-      opts.index_shards = shards;
-      if (numa) opts.costs = vtime::CostModel::numa(4);
-      opts.trace_events = true;
-      auto prog = workloads::nested_pair(4, 50, 30);
-      return runtime::run_vtime(prog, 8, opts);
-    };
-    const SchedOptions defaults;
-    EXPECT_EQ(defaults.index_shards, 1u) << "flat layout must be the default";
-    const RunResult flat = run_with(1);
-    const RunResult again = run_with(1);
-    EXPECT_EQ(flat.makespan, again.makespan) << "numa=" << numa;
-    EXPECT_EQ(flat.engine_ops, again.engine_ops) << "numa=" << numa;
-    EXPECT_EQ(chunk_log(flat), chunk_log(again)) << "numa=" << numa;
-    EXPECT_EQ(flat.counters.shard_grants, 0u);
-    EXPECT_EQ(flat.counters.shard_steals, 0u);
-    EXPECT_EQ(flat.counters.cross_shard_ops, 0u);
-  }
+  // A `self` instance below the threshold keeps one index and must take the
+  // flat code path: identical makespan, op count and grant log to
+  // `chunk:1`, which grabs the same way and never shards.
+  auto run_with = [](const Strategy& s) {
+    SchedOptions opts;
+    opts.strategy = s;
+    opts.trace_events = true;
+    auto prog = workloads::nested_pair(4, 50, 30);
+    return runtime::run_vtime(prog, 8, opts);
+  };
+  const RunResult self = run_with(Strategy::self());
+  const RunResult chunk1 = run_with(Strategy::chunked(1));
+  EXPECT_EQ(self.makespan, chunk1.makespan);
+  EXPECT_EQ(self.engine_ops, chunk1.engine_ops);
+  EXPECT_EQ(chunk_log(self), chunk_log(chunk1));
+  EXPECT_EQ(self.counters.shard_grants, 0u);
+  EXPECT_EQ(self.counters.shard_steals, 0u);
+  EXPECT_EQ(self.counters.cross_shard_ops, 0u);
 }
 
 // ----------------------------------------------------- counter semantics --
 
 TEST(ShardCounters, GrantsStealsAndCrossOpsAreConsistent) {
-  // Single sharded loop, G=4 on 8 workers: every successful dispatch is a
-  // shard grant (shard_grants == dispatches), steals are a subset of
-  // grants, and every steal was preceded by a cross-shard probe.
+  // Single sharded loop, G=8 on 8 workers: every successful dispatch is a
+  // shard grant (shard_grants == dispatches == b, one iteration each),
+  // steals are a subset of grants, and every steal was preceded by a
+  // cross-shard probe.
   SchedOptions opts;
-  opts.strategy = Strategy::gss();
-  opts.index_shards = 4;
   opts.audit = true;
-  auto prog = workloads::flat_doall(400, workloads::constant_cost(25));
+  const i64 n = sharded_bound(8);
+  auto prog = workloads::flat_doall(n, workloads::constant_cost(25));
   const RunResult r = runtime::run_vtime(prog, 8, opts);
-  EXPECT_GT(r.counters.shard_grants, 0u);
+  EXPECT_EQ(r.counters.shard_grants, static_cast<u64>(n));
   EXPECT_EQ(r.counters.shard_grants, r.counters.dispatches);
   EXPECT_LE(r.counters.shard_steals, r.counters.shard_grants);
   EXPECT_GE(r.counters.cross_shard_ops, r.counters.shard_steals);
-}
-
-TEST(ShardCounters, DegenerateBoundLeavesEmptyShardsUngranted) {
-  // b=3 split 8 ways: only 3 live shards; the run must still complete with
-  // exactly b iterations dispatched and the auditor silent.
-  SchedOptions opts;
-  opts.strategy = Strategy::self();
-  opts.index_shards = 8;
-  opts.audit = true;
-  auto prog = workloads::flat_doall(3, workloads::constant_cost(25));
-  const RunResult r = runtime::run_vtime(prog, 8, opts);
-  EXPECT_EQ(r.total.iterations, 3u);
-  EXPECT_EQ(r.counters.shard_grants, 3u);
-}
-
-// ------------------------------------------------- topology cost model --
-
-TEST(ShardTopology, FlatIndexPaysRemoteHopsAndShardingRecoversThem) {
-  // Under CostModel::numa(4) the flat index is homed in topology group 0,
-  // so ~3/4 of all dispatches pay cross_group_sync_extra; sharding G=4
-  // aligns each worker's home shard with its own group and recovers the
-  // premium.  Deterministic canonical schedule, dispatch-heavy workload.
-  auto run_with = [](u32 shards, const vtime::CostModel& cm) {
-    SchedOptions opts;
-    opts.strategy = Strategy::self();  // one grab per iteration: max traffic
-    opts.index_shards = shards;
-    opts.costs = cm;
-    auto prog = workloads::nested_pair(8, 64, 20);
-    return runtime::run_vtime(prog, 8, opts);
-  };
-  const Cycles flat_uniform = run_with(1, vtime::CostModel::cedar()).makespan;
-  const Cycles flat_numa = run_with(1, vtime::CostModel::numa(4)).makespan;
-  const Cycles sharded_numa = run_with(4, vtime::CostModel::numa(4)).makespan;
-  EXPECT_GT(flat_numa, flat_uniform)
-      << "flat index must pay the remote-hop premium under the NUMA model";
-  EXPECT_LT(sharded_numa, flat_numa)
-      << "sharding must recover the cross-group dispatch premium";
 }
 
 }  // namespace

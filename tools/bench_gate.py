@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark regression gate.
 
-Runs the SEARCH-scalability bench, the E16 adaptive-strategy bench and
-the E17 sharded-dispatch scaling bench (virtual-time: deterministic,
-exact, host-independent) plus the real-hardware benches — E8 overheads,
-E11 hook overhead, E15 serve (informational only: wall-clock, noisy) —
-and compares the gated metrics
-against the committed baselines (BENCH_search.json, BENCH_adaptive.json,
-BENCH_shard.json).  bench_adaptive and bench_shard_scale additionally
-enforce their own acceptance thresholds; a violation fails the gate even
-when every baseline delta is within tolerance.
+Runs the SEARCH-scalability bench and the E16 adaptive-strategy bench
+(virtual-time: deterministic, exact, host-independent) plus the
+real-hardware benches — E8 overheads, E11 hook overhead, E15 serve
+(informational only: wall-clock, noisy) — and compares the gated metrics
+against the committed baselines (BENCH_search.json, BENCH_adaptive.json).
+bench_adaptive additionally enforces its own acceptance thresholds; a
+violation fails the gate even when every baseline delta is within
+tolerance.
 
   tools/bench_gate.py                         # run, write, compare
   tools/bench_gate.py --update-baseline       # refresh the baseline
@@ -49,28 +48,6 @@ def run_adaptive_bench(build_dir, tmp_path):
     worst, bit-identical replay) and exits nonzero on violation — surface
     that as a gate failure, not just a baseline delta."""
     exe = os.path.join(build_dir, "bench", "bench_adaptive")
-    if not os.path.exists(exe):
-        sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
-    proc = subprocess.run([exe, "--json", tmp_path],
-                          capture_output=True, text=True)
-    accept_ok = proc.returncode == 0
-    if not accept_ok:
-        for line in proc.stdout.splitlines():
-            if "ACCEPTANCE FAIL" in line:
-                print(f"bench_gate: {line}")
-    with open(tmp_path) as f:
-        data = json.load(f)
-    os.unlink(tmp_path)
-    return data["metrics"], accept_ok
-
-
-def run_shard_bench(build_dir, tmp_path):
-    """E17 sharded-vs-flat index dispatch sweep (bench_shard_scale): vtime,
-    deterministic, gated against BENCH_shard.json.  The bench enforces its
-    own acceptance thresholds (G=4 >= 1.3x over flat at P=8 on the
-    short-instance churn sweep, G=1 bit-equal to the flat path) and exits
-    nonzero on violation — surface that as a gate failure too."""
-    exe = os.path.join(build_dir, "bench", "bench_shard_scale")
     if not os.path.exists(exe):
         sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
     proc = subprocess.run([exe, "--json", tmp_path],
@@ -272,8 +249,6 @@ def main():
                     help="committed baseline to compare against")
     ap.add_argument("--adaptive-baseline", default="BENCH_adaptive.json",
                     help="committed baseline for the E16 adaptive bench")
-    ap.add_argument("--shard-baseline", default="BENCH_shard.json",
-                    help="committed baseline for the E17 shard bench")
     ap.add_argument("--out", default=None,
                     help="write the fresh results here "
                          "(default: BENCH_search.new.json)")
@@ -298,9 +273,6 @@ def main():
     ad_metrics, ad_accept_ok = run_adaptive_bench(
         args.build_dir,
         os.path.join(args.build_dir, "bench_adaptive_tmp.json"))
-    sh_metrics, sh_accept_ok = run_shard_bench(
-        args.build_dir,
-        os.path.join(args.build_dir, "bench_shard_tmp.json"))
     if not args.skip_gbench:
         metrics += run_overhead_bench(args.build_dir)
         metrics += run_hook_overhead_bench(args.build_dir)
@@ -310,17 +282,14 @@ def main():
 
     current = {"schema": SCHEMA, "max_procs": args.max_procs,
                "metrics": metrics}
-    # The adaptive and shard benches always sweep at P=8, independent of
-    # --max-procs.
+    # The adaptive bench always sweeps at P=8, independent of --max-procs.
     ad_current = {"schema": SCHEMA, "max_procs": 8, "metrics": ad_metrics}
-    sh_current = {"schema": SCHEMA, "max_procs": 8, "metrics": sh_metrics}
 
     if args.update_baseline:
         # The committed baselines must be machine-independent: keep only
         # the deterministic (vtime) metrics, never wall-clock ones.
         for path, cur in ((args.baseline, current),
-                          (args.adaptive_baseline, ad_current),
-                          (args.shard_baseline, sh_current)):
+                          (args.adaptive_baseline, ad_current)):
             kept = [m for m in cur["metrics"] if m["deterministic"]]
             with open(path, "w") as f:
                 json.dump({"schema": SCHEMA,
@@ -330,7 +299,7 @@ def main():
             gated = sum(1 for m in kept if m["gate"])
             print(f"bench_gate: wrote {path} "
                   f"({len(kept)} metrics, {gated} gated)")
-        return 0 if ad_accept_ok and sh_accept_ok else 1
+        return 0 if ad_accept_ok else 1
 
     out = args.out or "BENCH_search.new.json"
     with open(out, "w") as f:
@@ -340,8 +309,7 @@ def main():
 
     ok = True
     for path, cur, tag in ((args.baseline, current, "search"),
-                           (args.adaptive_baseline, ad_current, "adaptive"),
-                           (args.shard_baseline, sh_current, "shard")):
+                           (args.adaptive_baseline, ad_current, "adaptive")):
         if not os.path.exists(path):
             sys.exit(f"bench_gate: baseline {path} not found — run "
                      "with --update-baseline to create it")
@@ -358,10 +326,6 @@ def main():
         ok = ok and this_ok
     if not ad_accept_ok:
         print("bench_gate: FAIL — bench_adaptive acceptance thresholds "
-              "violated (see ACCEPTANCE FAIL lines above)")
-        ok = False
-    if not sh_accept_ok:
-        print("bench_gate: FAIL — bench_shard_scale acceptance thresholds "
               "violated (see ACCEPTANCE FAIL lines above)")
         ok = False
     return 0 if ok else 1

@@ -7,10 +7,12 @@
 #                                  # and shard-policy tests, the
 #                                  # ICB-pool/bound units of
 #                                  # test_hotpath, the contended
-#                                  # bounded-grab tests of test_claim, the
-#                                  # threads case of test_shard and the
-#                                  # served sharded-index / tiny-slice
-#                                  # tests of test_serve)
+#                                  # bounded-grab tests of test_claim, all
+#                                  # of test_shard, the Shard-named tests
+#                                  # of test_runtime_units, test_audit and
+#                                  # test_fault, and the served
+#                                  # sharded-index / tiny-slice tests of
+#                                  # test_serve)
 #   tools/check.sh --fast          # tier-1 only
 #   tools/check.sh --repeat        # tier-1 build, then the audit, threads,
 #                                  # stress, team, claim and shard suites
@@ -35,13 +37,6 @@
 #                                  # TSan (the threads feedback path), then
 #                                  # audited under ASan, then the E16
 #                                  # acceptance thresholds (bench_adaptive)
-#   tools/check.sh --shard         # sharded-dispatch suite (ISSUE 8): the
-#                                  # shard-math oracles, the sharded-vs-flat
-#                                  # differential matrix, the shard auditor
-#                                  # rules and the sharded fault tests under
-#                                  # TSan (threads-engine shard counters),
-#                                  # then audited under ASan, then the E17
-#                                  # acceptance thresholds (bench_shard_scale)
 #   tools/check.sh --serve         # resident-service suite: test_serve,
 #                                  # the oversubscribed served-Doacross
 #                                  # stress (2 x nproc workers, 50 audited
@@ -80,7 +75,6 @@ FAULTS=0
 SERVE=0
 RESILIENCE=0
 ADAPTIVE=0
-SHARD=0
 LABEL=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -92,10 +86,9 @@ while [[ $# -gt 0 ]]; do
     --serve) SERVE=1; shift ;;
     --resilience) RESILIENCE=1; shift ;;
     --adaptive) ADAPTIVE=1; shift ;;
-    --shard) SHARD=1; shift ;;
     --label) LABEL="${2:?--label needs an argument}"; shift 2 ;;
     *) echo "usage: tools/check.sh [--fast] [--repeat] [--explore] [--audit]" \
-            "[--faults] [--serve] [--resilience] [--adaptive] [--shard]" \
+            "[--faults] [--serve] [--resilience] [--adaptive]" \
             "[--label TIER]" >&2
        exit 2 ;;
   esac
@@ -129,35 +122,14 @@ DOACROSS_STRESS_REPEAT=5
 REPEAT_TESTS='Audit|Threads|Stress|ThreadTeam|Claim|Shard'
 REPEAT_ROUNDS=20
 
-# The threads tests of suites that run mostly on vtime, for the default
-# TSan pass: the sharded oracle run of test_shard, and the served
-# sharded-index closed loop and tiny-slice yields of test_serve.
-TSAN_SHARD_TESTS='ShardThreads.*'
+# The Shard-named tests of suites that are not sharding suites, for the
+# default TSan pass: the shard-math/ICB units and the shard rule
+# (ShardMath/ShardRule/Shard.*), the auditor rules (AuditShard) and the
+# sharded cancellation/deadline tests (FaultShard).  Their audited ASan
+# half runs in --audit's unit tier.  Also the served sharded-index closed
+# loop and tiny-slice yields of test_serve.
+TSAN_SHARD_TESTS='*Shard*'
 TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield'
-
-# The sharded-dispatch filter: every suite name carries "Shard" — the
-# shard-math/ICB units (ShardMath/Shard.*), the differential matrix and
-# replay/counter/topology suites (Shard* in test_shard), the auditor rules
-# (AuditShard) and the sharded cancellation/deadline tests (FaultShard).
-SHARD_TESTS='Shard'
-
-if [[ "$SHARD" == 1 ]]; then
-  echo "== shard: TSan build, sharded-dispatch suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_shard \
-      test_runtime_units test_audit test_fault
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R "$SHARD_TESTS")
-  echo "== shard: ASan build, audited sharded-dispatch suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_shard \
-      test_runtime_units test_audit test_fault bench_shard_scale
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$SHARD_TESTS")
-  echo "== shard: E17 acceptance thresholds =="
-  ./build-asan/bench/bench_shard_scale > /dev/null
-  echo "== OK (shard) =="
-  exit 0
-fi
 
 if [[ "$ADAPTIVE" == 1 ]]; then
   echo "== adaptive: TSan build, strategy-conformance suite =="
@@ -292,12 +264,16 @@ fi
 echo "== TSan: threaded scheduler tests + hot-path units + claim + shards =="
 cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads \
-    test_shard_policy test_hotpath test_claim test_shard test_serve
+    test_shard_policy test_hotpath test_claim test_shard test_runtime_units \
+    test_audit test_fault test_serve
 ./build-tsan/tests/test_scheduler_threads
 ./build-tsan/tests/test_shard_policy
 ./build-tsan/tests/test_hotpath
 ./build-tsan/tests/test_claim
-./build-tsan/tests/test_shard --gtest_filter="$TSAN_SHARD_TESTS"
+./build-tsan/tests/test_shard
+for t in test_runtime_units test_audit test_fault; do
+  ./build-tsan/tests/$t --gtest_filter="$TSAN_SHARD_TESTS"
+done
 ./build-tsan/tests/test_serve --gtest_filter="$TSAN_SERVE_TESTS"
 
 echo "== OK =="

@@ -69,7 +69,6 @@ struct FuzzCase {
   u32 procs = 1;
   u32 depth = 4;
   u32 pool_shards = 1;
-  u32 index_shards = 1;
   bool central_queue = false;
   u32 strategy_kind = 0;  // runtime::Strategy::Kind as u32
   i64 strategy_chunk = 1;
@@ -84,7 +83,6 @@ FuzzCase case_for_seed(u64 seed, u32 max_procs, u32 depth) {
   c.strategy_kind = static_cast<u32>(s.kind);
   c.strategy_chunk = s.chunk;
   c.pool_shards = 1 + static_cast<u32>(seed % 3);
-  c.index_shards = 1 + static_cast<u32>(seed % 4);
   c.central_queue = seed % 7 == 0;
   c.procs = 1 + static_cast<u32>(seed % max_procs);
   return c;
@@ -96,7 +94,6 @@ runtime::SchedOptions options_for(const FuzzCase& c) {
       static_cast<runtime::Strategy::Kind>(c.strategy_kind);
   opts.strategy.chunk = c.strategy_chunk;
   opts.pool_shards = c.pool_shards;
-  opts.index_shards = c.index_shards;
   opts.central_queue = c.central_queue;
   return opts;
 }
@@ -124,7 +121,6 @@ vtime::ReproFile repro_for(const FuzzCase& c,
   put("procs", c.procs);
   put("depth", c.depth);
   put("pool_shards", c.pool_shards);
-  put("index_shards", c.index_shards);
   put("central_queue", c.central_queue ? 1 : 0);
   put("strategy_kind", c.strategy_kind);
   put("strategy_chunk", static_cast<u64>(c.strategy_chunk));
@@ -135,7 +131,7 @@ vtime::ReproFile repro_for(const FuzzCase& c,
 /// Rebuild a case from a repro file's extra keys.  Returns false with an
 /// error naming the offending key in `why` when the file lacks context or
 /// carries a value the fuzzer cannot run.  Unknown keys (such as the
-/// retired strategy_aux) are ignored.
+/// retired strategy_aux and index_shards) are ignored.
 bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c,
                      std::string& why) {
   bool have_seed = false;
@@ -149,8 +145,6 @@ bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c,
       c.depth = static_cast<u32>(parse_u64(v));
     } else if (k == "pool_shards") {
       c.pool_shards = static_cast<u32>(parse_u64(v));
-    } else if (k == "index_shards") {
-      c.index_shards = static_cast<u32>(parse_u64(v));
     } else if (k == "central_queue") {
       c.central_queue = parse_u64(v) != 0;
     } else if (k == "strategy_kind") {

@@ -35,9 +35,8 @@ void usage(const char* argv0, std::FILE* out) {
       "engine and machine:\n"
       "  --engine vtime|threads   execution engine (default vtime)\n"
       "  --procs N                processors (default 8)\n"
-      "  --costs cedar|cheap|expensive|numa[:G]\n"
-      "                           vtime cost model (default cedar; numa = G\n"
-      "                           topology groups, docs/sharding.md)\n"
+      "  --costs cedar|cheap|expensive\n"
+      "                           vtime cost model (default cedar)\n"
       "\n"
       "scheduling:\n"
       "  --strategy self|chunk:K|gss|factoring|trapezoid|factoring2|\n"
@@ -45,10 +44,6 @@ void usage(const char* argv0, std::FILE* out) {
       "                           low-level Doall dispatch (default self)\n"
       "  --central-queue          single-list task pool (ablation)\n"
       "  --shards S               shards per loop list (default 1)\n"
-      "  --index-shards G         per-instance index shards with home-first\n"
-      "                           stealing (default 1 = engine's choice:\n"
-      "                           flat on vtime, one per worker for large\n"
-      "                           self Doalls on threads; docs/sharding.md)\n"
       "\n"
       "program:\n"
       "  --param NAME=VALUE       bind a named constant (repeatable)\n"
@@ -183,16 +178,6 @@ int main(int argc, char** argv) {
         opts.costs = vtime::CostModel::cheap_sync();
       } else if (c == "expensive") {
         opts.costs = vtime::CostModel::expensive_sync();
-      } else if (c.rfind("numa", 0) == 0) {
-        u32 groups = 4;
-        if (c.size() > 4 && c[4] == ':') {
-          groups = static_cast<u32>(std::strtoul(c.c_str() + 5, nullptr, 10));
-        }
-        if (groups == 0) {
-          std::fprintf(stderr, "--costs numa:G needs G >= 1\n");
-          return 2;
-        }
-        opts.costs = vtime::CostModel::numa(groups);
       } else {
         std::fprintf(stderr, "unknown cost model '%s'\n", c.c_str());
         return 2;
@@ -206,9 +191,6 @@ int main(int argc, char** argv) {
       opts.central_queue = true;
     } else if (arg == "--shards") {
       opts.pool_shards = static_cast<u32>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--index-shards") {
-      opts.index_shards =
-          static_cast<u32>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--param") {
       const std::string kv = next();
       const auto eq = kv.find('=');

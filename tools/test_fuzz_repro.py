@@ -4,7 +4,7 @@
 A repro file whose strategy_kind names a removed or unknown strategy, or
 whose strategy_chunk is below 1, must be refused with exit 2 and an error
 that names the key.  A file that still carries the retired strategy_aux
-key must load, with the key ignored.
+or index_shards key must load, with the key ignored.
 
 Registered with ctest (label: unit) from tools/CMakeLists.txt; also runs
 standalone: python3 tools/test_fuzz_repro.py build/tools/selfsched-fuzz
@@ -54,15 +54,20 @@ class ReplayInputTest(unittest.TestCase):
         self.assert_refused(repro(strategy_kind=1, strategy_chunk=0),
                             "strategy_chunk")
 
-    def test_retired_aux_key_is_ignored(self):
+    def assert_ignored(self, **retired):
         # An empty decision trace cannot replay a real run, so compare the
         # outcome with and without the key instead of expecting success.
         plain = self.replay(repro(strategy_kind=2, strategy_chunk=1))
-        old = self.replay(repro(strategy_kind=2, strategy_chunk=1,
-                                strategy_aux=99))
+        old = self.replay(repro(strategy_kind=2, strategy_chunk=1, **retired))
         self.assertNotEqual(old.returncode, 2, old.stderr)
         self.assertEqual((old.returncode, old.stdout),
                          (plain.returncode, plain.stdout))
+
+    def test_retired_aux_key_is_ignored(self):
+        self.assert_ignored(strategy_aux=99)
+
+    def test_retired_index_shards_key_is_ignored(self):
+        self.assert_ignored(index_shards=4)
 
 
 if __name__ == "__main__":
