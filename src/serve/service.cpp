@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/check.hpp"
@@ -324,9 +325,12 @@ std::shared_ptr<Submission> Service::admit_and_pick_locked() {
     if (next == nullptr) break;
     activate_locked(next);  // pushes to active_ unless finalized unrun
   }
-  // Strict across tiers, least-granted tenant within a tier, FIFO on ties.
+  // Strict across tiers, least-granted tenant within a tier, then the
+  // tenant's namespace with the fewest resident workers (so free workers
+  // spread over its programs instead of piling onto the oldest), FIFO on
+  // ties.  Deterministic grants leave no worker resident: FIFO there.
   std::shared_ptr<Submission> best;
-  u64 best_charge = 0;
+  std::tuple<u32, u64, u32, u64> best_key;
   for (const auto& s : active_) {
     if (s->done_flag) continue;  // draining; its own workers finalize it
     // Stalled with a worker still inside: that worker's slice end either
@@ -334,12 +338,11 @@ std::shared_ptr<Submission> Service::admit_and_pick_locked() {
     // nobody inside the namespace must be re-probed (kept live by the
     // workers' timed wait even if every notify was consumed elsewhere).
     if (s->stalled && s->workers_in > 0) continue;
-    const u64 c = tenant_charge_locked(s->tenant);
-    if (best == nullptr || s->priority < best->priority ||
-        (s->priority == best->priority &&
-         (c < best_charge || (c == best_charge && s->seq < best->seq)))) {
+    const std::tuple key(s->priority, tenant_charge_locked(s->tenant),
+                         s->workers_in, s->seq);
+    if (best == nullptr || key < best_key) {
       best = s;
-      best_charge = c;
+      best_key = key;
     }
   }
   return best;

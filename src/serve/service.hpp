@@ -10,11 +10,13 @@
 //     too many distinct tenants yields a SubmitStatus, never an exception.
 //   * dispatch: free workers self-arbitrate under one service mutex.  They
 //     activate queued submissions (FIFO per priority bucket) while fewer
-//     than max_active are live, then pick the runnable submission from the
-//     highest non-empty priority tier; within a tier, the one whose TENANT
-//     has been granted the least worker time (async-priority-scheduler
-//     shape: pull from priority heaps, prove fairness with granted-cycle
-//     counters).
+//     than max_active are live, then pick the runnable submission by a
+//     four-step grant order: the highest non-empty priority tier; within
+//     it, the one whose TENANT has been granted the least worker time
+//     (async-priority-scheduler shape: pull from priority heaps, prove
+//     fairness with granted-cycle counters); within that tenant, the
+//     namespace with the fewest resident workers (space-sharing: free
+//     workers spread over a tenant's programs); then FIFO seq.
 //   * slices: a granted worker runs runtime::worker_session against the
 //     submission's namespace until the program finishes or the slice budget
 //     expires (SessionExit::kYield), then re-arbitrates — so one pool

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <stdexcept>
@@ -33,6 +35,12 @@ std::shared_ptr<const program::NestedLoopProgram> shared_random(
   cfg.max_leaf_bound = 5;
   return std::make_shared<const program::NestedLoopProgram>(
       workloads::random_program(seed, cfg, bodies));
+}
+
+std::shared_ptr<const program::NestedLoopProgram> shared_doall(
+    i64 n, program::BodyFn body = nullptr) {
+  return std::make_shared<const program::NestedLoopProgram>(
+      workloads::flat_doall(n, nullptr, std::move(body)));
 }
 
 // --- deterministic mode: ordering ---------------------------------------
@@ -451,6 +459,59 @@ TEST(Serve, TinySlicesPublishCompletionsAtTheYield) {
   }
 }
 
+TEST(Serve, FreeWorkersSpreadAcrossATenantsNamespaces) {
+  // One tenant, two workers, two queued 2-iteration Doalls A and B whose
+  // bodies each sleep kBody.  A free worker must join the tenant's
+  // namespace with the fewest resident workers, so the second worker out
+  // starts B while the first is still inside A's first iteration — not
+  // A's second iteration, which would hold B back a whole body length.
+  // Both workers first sit in a gate program, so A and B are queued
+  // before either worker arbitrates.
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kBody = std::chrono::milliseconds(30);
+  serve::ServeOptions so;
+  so.priorities = 1;
+  serve::Service svc(2, so);
+
+  std::atomic<int> gated{0};
+  std::atomic<bool> release{false};
+  auto gate = svc.submit(shared_doall(2, [&](ProcId, const IndexVec&, i64) {
+    gated.fetch_add(1);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }));
+  ASSERT_TRUE(gate.accepted());
+  while (gated.load() < 2) std::this_thread::yield();
+
+  // start/end of iteration j (1-based) of program p (0 = A, 1 = B).
+  std::array<std::array<Clock::time_point, 2>, 2> start{}, end{};
+  const auto timed = [&](std::size_t p) {
+    return shared_doall(2, [&, p](ProcId, const IndexVec&, i64 j) {
+      const auto k = static_cast<std::size_t>(j - 1);
+      start[p][k] = Clock::now();
+      std::this_thread::sleep_for(kBody);
+      end[p][k] = Clock::now();
+    });
+  };
+  auto a = svc.submit(timed(0));
+  auto b = svc.submit(timed(1));
+  ASSERT_TRUE(a.accepted());
+  ASSERT_TRUE(b.accepted());
+  release.store(true);
+
+  EXPECT_FALSE(gate.handle.await().failure.has_value());
+  EXPECT_FALSE(a.handle.await().failure.has_value());
+  EXPECT_FALSE(b.handle.await().failure.has_value());
+  const auto b_first = std::min(start[1][0], start[1][1]);
+  const auto a_first_end = std::min(end[0][0], end[0][1]);
+  EXPECT_LT(b_first, a_first_end)
+      << "B started "
+      << std::chrono::duration<double, std::milli>(b_first - a_first_end)
+             .count()
+      << " ms after A's first iteration ended";
+}
+
 // --- deterministic mode: replayability -----------------------------------
 
 TEST(Serve, DeterministicModeIsBitIdentical) {
@@ -488,12 +549,6 @@ TEST(Serve, DeterministicModeIsBitIdentical) {
 }
 
 // --- resilience layer (serve/resilience.hpp, docs/robustness.md) ---------
-
-std::shared_ptr<const program::NestedLoopProgram> shared_doall(
-    i64 n, program::BodyFn body = nullptr) {
-  return std::make_shared<const program::NestedLoopProgram>(
-      workloads::flat_doall(n, nullptr, std::move(body)));
-}
 
 program::BodyFn poison_body() {
   return [](ProcId, const IndexVec&, i64) {

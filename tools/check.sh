@@ -23,7 +23,10 @@
 #   tools/check.sh --audit         # unit+explore tiers with the invariant
 #                                  # auditor live (SELFSCHED_AUDIT=1 env:
 #                                  # every run is audited, violations abort),
-#                                  # then an ASan build of the same tiers
+#                                  # then an ASan build of the unit-tests
+#                                  # target (the unit tier's binaries and
+#                                  # selfsched-fuzz only), its unit tier
+#                                  # audited
 #   tools/check.sh --faults        # fault-tolerance suite (test_fault +
 #                                  # cancellation-adjacent tests) under TSan,
 #                                  # then audited under ASan — the
@@ -221,7 +224,7 @@ if [[ "$AUDIT" == 1 ]]; then
       -L 'unit|explore')
   echo "== audit: ASan build, audited unit tier =="
   cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS"
+  cmake --build build-asan -j "$JOBS" --target unit-tests
   (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
       -L unit)
   echo "== OK (audit) =="
