@@ -25,9 +25,11 @@ namespace selfsched::exec {
 /// (SEARCH) and O3 (EXIT+ENTER); we keep those exact buckets plus the
 /// useful-work and wait buckets needed to compute utilization.
 enum class Phase : u32 {
-  kBody,          // useful work: executing loop-body iterations (τ)
-  kIterSync,      // O1: the index grab per chunk, plus the icount update
-                  // (vtime: per chunk; threads: once per attachment)
+  kBody,          // useful work: executing loop-body iterations (τ),
+                  // with the grant loop's per-chunk checks between them
+  kIterSync,      // O1: the index grab per chunk and its dispatch hooks,
+                  // plus the icount update (vtime: per chunk; threads:
+                  // once per attachment)
   kSearch,        // O2: SW leading-one-detection + list walk + ivec copy
   kExitEnter,     // O3: EXIT level computation + ENTER instance activation
   kPoolIdle,      // spinning in SEARCH while the task pool is empty

@@ -69,7 +69,7 @@ struct Icb {
   /// Next unscheduled iteration.  Invariant: once the ICB is published,
   /// index only grows, except for poison_pool's store of bound+1.  On real
   /// cores a failed ctx_claim still adds its chunk, so index may pass
-  /// bound+1; every reader (dispatch_flat, dispatch_sharded,
+  /// bound+1; every reader (dispatch_flat, claim_shard, dispatch_sharded,
   /// icb_has_unscheduled, SEARCH's post-attach re-test, poison_pool) only
   /// compares it against the bound, so no reader can tell an overshoot
   /// from bound+1.  The same holds for each IcbShard::index against hi.

@@ -152,10 +152,14 @@ struct Strategy {
 
 /// Result of one low-level dispatch attempt on an ICB.
 struct Dispatch {
+  /// Shard of a grant that came from no shard: a flat grab, or no grant.
+  static constexpr u32 kNoShard = ~u32{0};
+
   i64 first = 0;  // first grabbed iteration (1-based); valid if count > 0
   i64 count = 0;  // 0 => instance fully scheduled, detach and SEARCH
   bool last_scheduled = false;  // this grab took the final iteration =>
                                 // caller must DELETE the ICB from its list
+  u32 shard = kNoShard;  // sharded instance: the shard the grant came from
 };
 
 /// Guided chunk size at dispatch sequence number `seq` (0-based): steps the
@@ -386,18 +390,46 @@ Dispatch dispatch_flat(C& ctx, Icb<C>& icb, const Strategy& s) {
   return d;
 }
 
+/// Claim one iteration of shard g of a sharded instance, {index <= hi ;
+/// Fetch&Add(1)}.  The grab that takes the shard's last iteration joins the
+/// instance-wide exactly-once completion election, which generalizes "the
+/// grab that took iteration b" to "the grab that took the last iteration of
+/// the last shard to drain": each shard's final iteration is granted
+/// exactly once (same monotone-index argument as the flat gate), that grab
+/// increments `sched_done`, and the increment that observes num_shards - 1
+/// wins.  `cross` marks a steal, a grant from a shard other than home.
+template <exec::ExecutionContext C>
+inline Dispatch claim_shard(C& ctx, Icb<C>& icb, u32 g, bool cross) {
+  IcbShard<C>& sh = icb.shards[g];
+  const auto r = ctx_claim(ctx, sh.index, sh.hi, 1);
+  if (!r.success) [[unlikely]] return {};  // shard drained
+  Dispatch d;
+  d.first = r.fetched;
+  d.count = 1;
+  d.shard = g;
+  trace::bump(ctx, &trace::Counters::shard_grants);
+  if (cross) trace::bump(ctx, &trace::Counters::shard_steals);
+  audit::on_shard_grant(ctx, &icb, g, d.first, d.count, cross);
+  if (d.first == sh.hi) [[unlikely]] {
+    const auto done = ctx.sync_op(icb.sched_done, sync::Test::kNone, 0,
+                                  sync::Op::kIncrement);
+    d.last_scheduled = done.fetched + 1 == static_cast<i64>(icb.num_shards);
+    audit::on_shard_exhaust(ctx, &icb, g, d.last_scheduled);
+  }
+  return d;
+}
+
 /// Sharded low-level dispatch (runtime::index_shards_for; see
 /// docs/sharding.md).  Only `self` instances shard, so a shard grab is one
-/// iteration, {index <= hi ; Fetch&Add(1)}.  The worker probes its home
-/// shard first (block mapping by processor id), then siblings in ascending
-/// rotation — steal-on-exhaustion: a cross-shard probe only happens once
-/// the previous shard was observed drained.  The instance-wide exactly-once
-/// completion election generalizes from "the grab that took iteration b"
-/// to "the grab that took the last iteration of the last shard to drain":
-/// each shard's final iteration is granted exactly once (same
-/// monotone-index argument as the flat gate), that grab increments
-/// `sched_done`, and the increment that observes num_shards - 1 wins the
-/// election.
+/// iteration (claim_shard).  A worker's shards are probed in one fixed
+/// order: its home shard (block mapping by processor id, computed once per
+/// attachment by the caller), then the siblings in ascending rotation —
+/// steal-on-exhaustion: a cross-shard probe only happens once the previous
+/// shard was observed drained.  `from` is where this probe joins that
+/// order.  A worker whose last grant came from its home shard claims the
+/// next one there directly, without a probe (run_grants, the grant loop);
+/// when that claim fails it continues here from home + 1, so every grab
+/// walks the same order and every steal keeps it.
 ///
 /// On real cores a probe first reads the shard's index and skips the shard
 /// when it is already past hi, so probing a drained shard writes nothing.
@@ -405,47 +437,55 @@ Dispatch dispatch_flat(C& ctx, Icb<C>& icb, const Strategy& s) {
 /// vtime runs — including which shard a worker stole from — record and
 /// replay bit-identically.
 template <exec::ExecutionContext C>
-Dispatch dispatch_sharded(C& ctx, Icb<C>& icb) {
+Dispatch dispatch_sharded(C& ctx, Icb<C>& icb, u32 home, u32 from) {
   const u32 g_count = icb.num_shards;
-  const u32 home = shard::home_shard_of(ctx.proc(), ctx.num_procs(), g_count);
-  for (u32 probe = 0; probe < g_count; ++probe) {
-    const u32 g = (home + probe) % g_count;
-    IcbShard<C>& sh = icb.shards[g];
+  u32 g = from;
+  do {
     const bool cross = g != home;
     if (cross) trace::bump(ctx, &trace::Counters::cross_shard_ops);
+    bool drained = false;
     if constexpr (!C::kIsSimulated) {
       // Drained (the index only grows): skip it with a read.  A failed
       // claim would still write the line, and late in an instance every
       // stealer probes the same drained shards on every grab.
-      if (sh.index.load() > sh.hi) continue;
+      drained = icb.shards[g].index.load() > icb.shards[g].hi;
     }
-    const auto r = ctx_claim(ctx, sh.index, sh.hi, 1);
-    if (!r.success) continue;  // shard drained: steal from the next sibling
-    Dispatch d;
-    d.first = r.fetched;
-    d.count = 1;
-    trace::bump(ctx, &trace::Counters::shard_grants);
-    if (cross) trace::bump(ctx, &trace::Counters::shard_steals);
-    audit::on_shard_grant(ctx, &icb, g, d.first, d.count, cross);
-    if (d.first == sh.hi) {
-      // This grab drained shard g: join the completion election.
-      const auto done = ctx.sync_op(icb.sched_done, sync::Test::kNone, 0,
-                                    sync::Op::kIncrement);
-      d.last_scheduled = done.fetched + 1 == static_cast<i64>(g_count);
-      audit::on_shard_exhaust(ctx, &icb, g, d.last_scheduled);
+    if (!drained) {
+      const Dispatch d = claim_shard(ctx, icb, g, cross);
+      if (d.count > 0) return d;
     }
-    return d;
-  }
+    if (++g == g_count) g = 0;
+  } while (g != home);
   return {};  // every shard drained: instance fully scheduled
+}
+
+/// The next grant of an attachment.  `home` is the worker's home shard
+/// (shard::home_shard_of; unused for a flat index) and `prev_shard` the
+/// shard of the attachment's previous grant (Dispatch::kNoShard before its
+/// first).  A flat instance grabs by its strategy.  A sharded one claims
+/// directly on the home shard while the previous grant came from there,
+/// and otherwise probes from home.  This and claim_shard are declared
+/// inline so that GCC folds the direct claim into the grant loop.
+template <exec::ExecutionContext C>
+inline Dispatch next_grant(C& ctx, Icb<C>& icb, const Strategy& s, u32 home,
+                           u32 prev_shard) {
+  if (icb.num_shards <= 1) return dispatch_flat(ctx, icb, s);
+  if (prev_shard != home) return dispatch_sharded(ctx, icb, home, home);
+  const Dispatch d = claim_shard(ctx, icb, home, false);
+  if (d.count > 0) return d;
+  return dispatch_sharded(ctx, icb, home,
+                          home + 1 == icb.num_shards ? 0 : home + 1);
 }
 
 /// Grab the next block of iterations from `icb` according to `s` — the flat
 /// paper path when the instance's index is unsharded, the distributed path
-/// otherwise.
+/// otherwise — as a first grant would.
 template <exec::ExecutionContext C>
 Dispatch dispatch_iterations(C& ctx, Icb<C>& icb, const Strategy& s) {
-  if (icb.num_shards > 1) return dispatch_sharded(ctx, icb);
-  return dispatch_flat(ctx, icb, s);
+  if (icb.num_shards <= 1) return dispatch_flat(ctx, icb, s);
+  const u32 home =
+      shard::home_shard_of(ctx.proc(), ctx.num_procs(), icb.num_shards);
+  return dispatch_sharded(ctx, icb, home, home);
 }
 
 /// Adaptive feedback: fold one completed chunk's measured duration into the

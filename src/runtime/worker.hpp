@@ -1,10 +1,15 @@
 // The low-level self-scheduling main loop — Algorithm 3, generalized to
 // multi-iteration dispatches and Doacross synchronization.
 //
-// Per dispatch cycle a processor:
-//   start:  grabs iterations with {index <= b ; Fetch&Add(k)} (strategy.hpp;
-//           with a sharded index the grab comes from the worker's home shard
-//           or a stolen sibling, docs/sharding.md);
+// A processor attached to an instance runs a grant loop until it stops
+// taking work from it.  What every grant shares — the loop descriptor, the
+// strategy, the home shard of a sharded index — is looked up once per
+// attachment.  Per grant a processor:
+//   start:  grabs iterations with {index <= b ; Fetch&Add(k)} (strategy.hpp,
+//           next_grant).  With a sharded index a worker whose last grant came
+//           from its home shard claims the next one there directly; when the
+//           home shard is drained it probes the siblings from home + 1, and
+//           later grabs probe from home as before (docs/sharding.md);
 //           on failure publishes its completions and detaches
 //           ({pcount; Decrement}), then SEARCHes;
 //           if it grabbed the final iteration (sharded: won the drained-
@@ -19,6 +24,8 @@
 //           activates the successors (EXIT + ENTER), waits for pcount to
 //           drain to 1 ({pcount == 1 ; Decrement}), releases the ICB, and
 //           SEARCHes for new work.
+// The loop runs in the body phase; the grab and the update each have an
+// iteration-sync scope of their own.
 //
 // The grab and the update are the two sync ops per chunk that make up the
 // paper's O1.  vtime keeps the update as written: one per chunk.  On real
@@ -28,13 +35,14 @@
 // work from the instance (a failed grab, a yield, an aborted chunk).
 // Together with the per-worker index shards that ENTER gives large `self`
 // Doall instances on both engines (index_shards_for), that leaves a worker
-// no shared write per iteration on real cores (docs/scheduling.md,
-// "Completion count").
+// one uncontended fetch&add on its own shard per iteration on real cores
+// (docs/scheduling.md, "Completion count").
 #pragma once
 
 #include <cmath>
 
 #include "audit/hooks.hpp"
+#include "common/shard_math.hpp"
 #include "exec/context.hpp"
 #include "runtime/high_level.hpp"
 #include "runtime/strategy.hpp"
@@ -255,12 +263,155 @@ enum class SessionExit : u32 {
   kYield,  // the yield predicate fired; the namespace still has live work
 };
 
+/// How a worker stops taking work from the instance it is attached to.
+enum class GrantStop : u32 {
+  kLeave,     // fully scheduled, or a chunk aborted: leave_instance
+  kYield,     // the yield predicate fired: leave_instance, then yield
+  kComplete,  // this worker's per-chunk update completed the instance
+};
+
+/// The grant loop of one attachment.  What every grant shares — the loop
+/// descriptor, the strategy, the worker's home shard — is looked up once;
+/// then each pass takes one grant (strategy.hpp, next_grant), runs its
+/// iterations and counts them, until the worker stops taking work from the
+/// instance.  Per grant it keeps, in this order: the yield check, the
+/// cancel point, the claim with its dispatch hooks (and DELETE when the
+/// grant is the instance's last), the body with its abort and fault
+/// checks, the `kChunk` event, adaptive feedback, and the update: vtime's
+/// per-chunk publish and the watchdog's progress mark.  The [[unlikely]]
+/// exits keep the steady state (one claim, one body) laid out as straight
+/// code; without them GCC places the rare branches on the hot path.
+template <exec::ExecutionContext C, typename YieldFn>
+GrantStop run_grants(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
+                     i64& pending, YieldFn& should_yield) {
+  const program::InnermostDesc& d = st.prog->loops[cursor.i];
+  const Strategy& strat =
+      d.doacross ? st.opts.doacross_strategy : st.opts.strategy;
+  const bool adaptive = strat.kind == Strategy::Kind::kAdaptive;
+  Icb<C>& icb = *cursor.ip;
+  const u32 home =
+      icb.num_shards > 1
+          ? shard::home_shard_of(ctx.proc(), ctx.num_procs(), icb.num_shards)
+          : 0;
+  const u64 ihash = trace::ivec_hash(cursor.ivec, d.depth);
+
+  exec::PhaseScope<C> body_phase(ctx, exec::Phase::kBody);
+  Dispatch grab;
+  for (;;) {
+    // Leave exactly like a failed grab; the instance keeps its other
+    // processors and stays findable in the pool.
+    if (should_yield()) [[unlikely]] return GrantStop::kYield;
+
+    // --- start: grab iterations ---
+    // After cancellation every grab fails against the poisoned index words
+    // (the threaded fast path just skips the formality), so this is the
+    // cancel point of the low-level fetch&add loop: workers fall through
+    // the grab-failure detach into SEARCH, which observes `done`.
+    {
+      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
+      grab = cancelled_fast(ctx, st)
+                 ? Dispatch{}
+                 : next_grant(ctx, icb, strat, home, grab.shard);
+      if (grab.count == 0) [[unlikely]] return GrantStop::kLeave;  // drained
+      ctx.stats().dispatches++;
+      trace::bump(ctx, &trace::Counters::dispatches);
+      audit::on_dispatch(ctx, &icb, grab.first, grab.count);
+      if (grab.last_scheduled) [[unlikely]] {
+        // All iterations are scheduled (not necessarily completed): remove
+        // the ICB so searchers move on to other instances.
+        exec::PhaseScope<C> exit_phase(ctx, exec::Phase::kExitEnter);
+        st.pool.delete_icb(ctx, icb.pool_list, &icb);
+      }
+    }
+
+    // --- body: execute the grabbed iterations, containing failures ---
+    // Adaptive tuning horizon: measure and retune only while the chunk
+    // starts in the first half of the iteration space.  Early chunks carry
+    // all the signal (the seed is a prior, the first measurements correct
+    // it); late chunks measure tail stragglers, and freezing the second
+    // half makes the steady-state dispatch path exactly as cheap as a
+    // static chunker's — no clock reads, no feedback sync ops.  The window
+    // assumes the flat [1, b] layout; index_shards_for never shards
+    // `adaptive`, so that is the only layout it sees.
+    const bool tuning = adaptive && grab.first <= (cursor.b + 1) / 2;
+    Cycles chunk_t0 = 0;
+    if (tuning) chunk_t0 = adaptive_clock(ctx);
+    bool aborted = false;
+    const Cycles tb = trace::event_begin(ctx);
+    i64 j = grab.first;
+    try {
+      for (; j < grab.first + grab.count; ++j) {
+        if (body_cancel_point(ctx, st)) {
+          aborted = true;
+          break;
+        }
+        if (const fault::FaultSpec* f =
+                fault::match_body(ctx, cursor.i, cursor.ivec, d.depth, j)) {
+          if (f->kind == fault::FaultKind::kBodyThrow) {
+            throw fault::InjectedFault("injected body fault");
+          }
+          stall_worker(ctx, st, *f, cursor.i, cursor.ivec, d.depth, j);
+        }
+        if (d.doacross) {
+          run_doacross_iteration(ctx, st, d, icb, cursor.ivec, j);
+        } else {
+          run_body(ctx, st, d, cursor.ivec, j);
+        }
+        ctx.stats().iterations++;
+      }
+    } catch (const fault::Cancelled&) {
+      aborted = true;  // secondary casualty of a cancellation in flight
+    } catch (...) {
+      aborted = true;
+      const std::exception_ptr eptr = std::current_exception();
+      const bool injected = [&] {
+        try {
+          std::rethrow_exception(eptr);
+        } catch (const fault::InjectedFault&) {
+          return true;
+        } catch (...) {
+          return false;
+        }
+      }();
+      fail_run(ctx, st,
+               injected ? fault::FailureRecord::Kind::kInjectedFault
+                        : fault::FailureRecord::Kind::kBodyException,
+               cursor.i, cursor.ivec, d.depth, j,
+               fault::describe_exception(eptr), eptr);
+    }
+    trace::event_end(ctx, tb, trace::EventKind::kChunk, cursor.i, ihash,
+                     grab.first, grab.count);
+    if (tuning && !aborted) {
+      // Fold this chunk's measured duration into the instance's tau
+      // estimate and retune its chunk size before we (or anyone) grab
+      // again.  Aborted chunks are skipped: their timings include
+      // stall/cancel wreckage.
+      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
+      adaptive_feedback(ctx, icb, strat, grab.count,
+                        adaptive_clock(ctx) - chunk_t0);
+    }
+    // The abandoned grab never reaches icount (this worker's earlier
+    // chunks still do): the instance can no longer complete, so the
+    // post-join drain reclaims it.  Leave it and head for the exit through
+    // SEARCH.
+    if (aborted) [[unlikely]] return GrantStop::kLeave;
+
+    // --- update: count completions; the last completer activates ---
+    pending += grab.count;
+    const bool completer =
+        C::kIsSimulated && publish_completions(ctx, cursor, pending);
+    watchdog_progress(ctx, st);
+    if (completer) [[unlikely]] return GrantStop::kComplete;
+    // else: keep scheduling from the same ICB (goto start).
+  }
+}
+
 /// The complete per-processor scheduler: runs until the program terminates,
 /// is cancelled (a cancelled worker drains out through SEARCH's `done` exit
 /// like a normal one), or `should_yield` fires.  Yield points sit only
 /// where the worker is detachable without abandoning obligations: inside
-/// SEARCH (already detached) and at the top of the dispatch cycle, where
-/// leaving is exactly the failed-grab path (publish, then complete or
+/// SEARCH (already detached) and before each grant of the grant loop,
+/// where leaving is exactly the failed-grab path (publish, then complete or
 /// detach).  Grabbed iterations always run to completion before a yield,
 /// so every Doacross dependence source that has been dispatched is posted
 /// by a worker that is still executing — a yielding team cannot strand a
@@ -278,133 +429,20 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
 
   SearchOutcome found = search_until(ctx, st, cursor, should_yield);
   while (found == SearchOutcome::kAttached) {
-    if (should_yield()) {
-      // Leave exactly like a failed grab; the instance keeps its other
-      // processors and stays findable in the pool.  If this worker's
-      // publish completes the instance, it runs the completion path first.
-      return leave_instance(ctx, st, cursor, pending) ? SessionExit::kDone
-                                                      : SessionExit::kYield;
+    switch (run_grants(ctx, st, cursor, pending, should_yield)) {
+      case GrantStop::kYield:
+        // If this worker's publish completes the instance, it runs the
+        // completion path first.
+        return leave_instance(ctx, st, cursor, pending) ? SessionExit::kDone
+                                                        : SessionExit::kYield;
+      case GrantStop::kComplete:
+        complete_instance(ctx, st, cursor);
+        break;
+      case GrantStop::kLeave:
+        leave_instance(ctx, st, cursor, pending);
+        break;
     }
-    const program::InnermostDesc& d = st.prog->loops[cursor.i];
-    const Strategy& strat =
-        d.doacross ? st.opts.doacross_strategy : st.opts.strategy;
-
-    // --- start: grab iterations ---
-    // After cancellation every grab fails against the poisoned index words
-    // (the threaded fast path below just skips the formality), so this is
-    // the cancel point of the low-level fetch&add loop: workers fall
-    // through the grab-failure detach into SEARCH, which observes `done`.
-    Dispatch grab;
-    if (!cancelled_fast(ctx, st)) {
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      grab = dispatch_iterations(ctx, *cursor.ip, strat);
-    }
-    if (grab.count == 0) {
-      // Instance fully scheduled: leave it and look for other work.
-      leave_instance(ctx, st, cursor, pending);
-      found = search_until(ctx, st, cursor, should_yield);
-      continue;
-    }
-    ctx.stats().dispatches++;
-    trace::bump(ctx, &trace::Counters::dispatches);
-    audit::on_dispatch(ctx, cursor.ip, grab.first, grab.count);
-    if (grab.last_scheduled) {
-      // All iterations are scheduled (not necessarily completed): remove
-      // the ICB so searchers move on to other instances.
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kExitEnter);
-      st.pool.delete_icb(ctx, cursor.ip->pool_list, cursor.ip);
-    }
-
-    // --- body: execute the grabbed iterations, containing failures ---
-    // Adaptive tuning horizon: measure and retune only while the chunk
-    // starts in the first half of the iteration space.  Early chunks carry
-    // all the signal (the seed is a prior, the first measurements correct
-    // it); late chunks measure tail stragglers, and freezing the second
-    // half makes the steady-state dispatch path exactly as cheap as a
-    // static chunker's — no clock reads, no feedback sync ops.  The window
-    // assumes the flat [1, b] layout; index_shards_for never shards
-    // `adaptive`, so that is the only layout it sees.
-    const bool tuning = strat.kind == Strategy::Kind::kAdaptive &&
-                        grab.first <= (cursor.b + 1) / 2;
-    Cycles chunk_t0 = 0;
-    if (tuning) chunk_t0 = adaptive_clock(ctx);
-    bool aborted = false;
-    {
-      const Cycles tb = trace::event_begin(ctx);
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kBody);
-      i64 j = grab.first;
-      try {
-        for (; j < grab.first + grab.count; ++j) {
-          if (body_cancel_point(ctx, st)) {
-            aborted = true;
-            break;
-          }
-          if (const fault::FaultSpec* f =
-                  fault::match_body(ctx, cursor.i, cursor.ivec, d.depth, j)) {
-            if (f->kind == fault::FaultKind::kBodyThrow) {
-              throw fault::InjectedFault("injected body fault");
-            }
-            stall_worker(ctx, st, *f, cursor.i, cursor.ivec, d.depth, j);
-          }
-          if (d.doacross) {
-            run_doacross_iteration(ctx, st, d, *cursor.ip, cursor.ivec, j);
-          } else {
-            run_body(ctx, st, d, cursor.ivec, j);
-          }
-          ctx.stats().iterations++;
-        }
-      } catch (const fault::Cancelled&) {
-        aborted = true;  // secondary casualty of a cancellation in flight
-      } catch (...) {
-        aborted = true;
-        const std::exception_ptr eptr = std::current_exception();
-        const bool injected = [&] {
-          try {
-            std::rethrow_exception(eptr);
-          } catch (const fault::InjectedFault&) {
-            return true;
-          } catch (...) {
-            return false;
-          }
-        }();
-        fail_run(ctx, st,
-                 injected ? fault::FailureRecord::Kind::kInjectedFault
-                          : fault::FailureRecord::Kind::kBodyException,
-                 cursor.i, cursor.ivec, d.depth, j,
-                 fault::describe_exception(eptr), eptr);
-      }
-      trace::event_end(ctx, tb, trace::EventKind::kChunk, cursor.i,
-                       trace::ivec_hash(cursor.ivec, d.depth), grab.first,
-                       grab.count);
-    }
-    if (tuning && !aborted) {
-      // Fold this chunk's measured duration into the instance's tau estimate
-      // and retune its chunk size before we (or anyone) grab again.  Aborted
-      // chunks are skipped: their timings include stall/cancel wreckage.
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      adaptive_feedback(ctx, *cursor.ip, strat, grab.count,
-                        adaptive_clock(ctx) - chunk_t0);
-    }
-    if (aborted) {
-      // The abandoned grab never reaches icount (this worker's earlier
-      // chunks still do): the instance can no longer complete, so the
-      // post-join drain reclaims it.  Leave it and head for the exit
-      // through SEARCH.
-      leave_instance(ctx, st, cursor, pending);
-      found = search_until(ctx, st, cursor, should_yield);
-      continue;
-    }
-
-    // --- update: count completions; the last completer activates ---
-    pending += grab.count;
-    const bool completer =
-        C::kIsSimulated && publish_completions(ctx, cursor, pending);
-    watchdog_progress(ctx, st);
-    if (completer) {
-      complete_instance(ctx, st, cursor);
-      found = search_until(ctx, st, cursor, should_yield);
-    }
-    // else: keep scheduling from the same ICB (goto start).
+    found = search_until(ctx, st, cursor, should_yield);
   }
   return found == SearchOutcome::kYield ? SessionExit::kYield
                                         : SessionExit::kDone;

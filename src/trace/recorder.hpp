@@ -117,10 +117,13 @@ inline void bump(C& ctx, u64 Counters::* m, u64 n = 1) {
 }
 
 /// Start timestamp for an event, or kTraceOff when events are disabled.
+/// Events are a debug mode, so the recording branch is marked unlikely and
+/// hot loops keep the events-off path straight.
 template <typename C>
 inline Cycles event_begin(C& ctx) {
   if constexpr (exec::InstrumentedContext<C>) {
-    if (WorkerSink* s = ctx.trace_sink(); s != nullptr && s->events_on) {
+    if (WorkerSink* s = ctx.trace_sink(); s != nullptr && s->events_on)
+        [[unlikely]] {
       return ctx.trace_now();
     }
   }

@@ -572,6 +572,56 @@ TEST(FaultShard, CancelledShardedRunDrainsAllShardsOnBothEngines) {
   }
 }
 
+TEST(FaultShard, BodyThrowInsideAHomeShardDrainFiresAtItsIteration) {
+  // Worker 0 homes shard 0, [1, b/4] at P = 4, and drains it through the
+  // grant loop's direct home claims.  A body throw armed halfway through
+  // that shard must fire at exactly that iteration, once, and the
+  // cancelled run must drain clean.
+  constexpr i64 kN = runtime::kShardMinItersPerWorker * 4 * 8;
+  constexpr i64 kBad = kN / 8;
+  const auto prog = workloads::flat_doall(
+      kN, [](const IndexVec&, i64) -> Cycles { return 20; });
+  FaultPlan plan;
+  plan.body_throw(/*loop=*/0, kBad);
+  SchedOptions opts;
+  opts.on_body_error = OnBodyError::kReturn;
+  opts.fault_plan = &plan;
+  opts.audit = true;
+  opts.audit_abort = false;
+  const RunResult r = runtime::run_threads(prog, 4, opts);
+  ASSERT_TRUE(r.failure.has_value());
+  EXPECT_EQ(r.failure->kind, FailureRecord::Kind::kInjectedFault);
+  EXPECT_EQ(r.failure->iteration, kBad);
+  EXPECT_EQ(plan.total_fired(), 1u);
+  EXPECT_EQ(r.counters.faults_injected, 1u);
+  EXPECT_GT(r.counters.shard_grants, 0u);
+  EXPECT_LT(r.total.iterations, static_cast<u64>(kN));
+  EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
+}
+
+TEST(FaultShard, WatchdogShorterThanAHomeShardDrainLeavesAHealthyRunAlone) {
+  // A 2^18-iteration sharded run on 4 workers: each home shard holds 2^16
+  // iterations of several microseconds, so one home-shard drain takes about
+  // half a second while one iteration takes a few thousandths of the
+  // 150 ms budget.  The grant loop marks progress after every chunk, so the
+  // watchdog never sees a stall; a mark only per attachment would leave it
+  // a whole drain.  The budget window opens before the team starts, and a
+  // heavily oversubscribed host took up to about 90 ms to reach the first
+  // grant, hence 150 ms rather than a few.
+  constexpr i64 kN = i64{1} << 18;
+  const auto prog = workloads::flat_doall(
+      kN, [](const IndexVec&, i64) -> Cycles { return 6000; });
+  SchedOptions opts;
+  opts.on_body_error = OnBodyError::kReturn;
+  opts.watchdog_stall_ms = 150;
+  const RunResult r = runtime::run_threads(prog, 4, opts);
+  EXPECT_FALSE(r.failure.has_value())
+      << (r.failure ? r.failure->message : std::string());
+  EXPECT_EQ(r.total.iterations, static_cast<u64>(kN));
+  EXPECT_EQ(r.counters.shard_grants, static_cast<u64>(kN));
+  EXPECT_EQ(r.counters.serve_watchdog_rescues, 0u);
+}
+
 TEST(FaultShard, DeadlineExpiryDrainsShardedInstancesDeterministically) {
   // Virtual-deadline cancellation of a run whose instances are sharded:
   // expiry is deterministic (same makespan, ops, iterations twice), yields

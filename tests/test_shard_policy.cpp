@@ -1,8 +1,9 @@
 // The index-shard rule and the threads engine's deferred completion count.
 // On both engines a large Doall instance under `self` gets one index shard
-// per worker (runtime::index_shards_for).  On threads a worker publishes its
-// completions once per attachment (runtime/worker.hpp); vtime keeps the
-// per-chunk update.
+// per worker (runtime::index_shards_for), and a worker takes each next
+// iteration straight from its home shard until that shard drains
+// (runtime/worker.hpp, the grant loop).  On threads a worker publishes its
+// completions once per attachment; vtime keeps the per-chunk update.
 //
 // The binary runs serially (tests/CMakeLists.txt): the sync-op count of a
 // threads run includes idle workers' spins, which grow when other tests
@@ -11,9 +12,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "runtime/high_level.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/verify.hpp"
 #include "workloads/programs.hpp"
 
 namespace selfsched {
@@ -81,6 +84,41 @@ TEST(ThreadsShardPolicy, SmallDoacrossAndOtherStrategiesKeepOneIndex) {
               kLargeFlat, "chunk:4");
   expect_flat(large_flat(), with_strategy(runtime::Strategy::adaptive()),
               kLargeFlat, "adaptive");
+}
+
+TEST(ThreadsShardPolicy, GrantLoopGrantsEveryIterationExactlyOnce) {
+  // The grant loop claims a worker's next iteration straight from its home
+  // shard and steals only once that shard is drained.  At P = 2, P = 4 and
+  // more workers than cores, every grant must still be one shard grant of
+  // one iteration, every iteration must run exactly once against the serial
+  // oracle, and the auditor's shard and icount rules must stay silent.
+  const u32 cores = std::max(1u, std::thread::hardware_concurrency());
+  for (const u32 procs : {2u, 4u, 2 * cores}) {
+    const i64 b = runtime::kShardMinItersPerWorker * procs * 4 + 3;
+    auto opts = with_strategy(runtime::Strategy::self());
+    opts.audit = true;
+    const auto r = runtime::run_threads(large_flat(b), procs, opts);
+    const auto ub = static_cast<u64>(b);
+    EXPECT_EQ(r.counters.dispatches, ub) << "P=" << procs;
+    EXPECT_EQ(r.counters.shard_grants, ub) << "P=" << procs;
+    EXPECT_EQ(r.total.dispatches, ub) << "P=" << procs;
+    EXPECT_EQ(r.total.iterations, ub) << "P=" << procs;
+    EXPECT_LE(r.counters.shard_steals, r.counters.shard_grants)
+        << "P=" << procs;
+    EXPECT_EQ(r.audit_violations, 0u) << "P=" << procs << "\n"
+                                      << r.audit_report;
+
+    const runtime::ProgramBuilder build =
+        [b](const program::BodyFactory& bodies) {
+          return workloads::flat_doall(
+              b, [](const IndexVec&, i64) -> Cycles { return 20; },
+              bodies("flat"));
+        };
+    const auto d = runtime::differential_check(
+        build, procs, runtime::EngineKind::kThreads, opts);
+    EXPECT_TRUE(d.ok) << "P=" << procs << ": " << d.detail;
+    EXPECT_EQ(d.parallel_iterations, ub) << "P=" << procs;
+  }
 }
 
 TEST(ThreadsShardPolicy, VtimeShardsLikeThreadsAndKeepsPerChunkUpdate) {
