@@ -30,7 +30,7 @@ program::NestedLoopProgram wide_program(u32 m, i64 width, Cycles body) {
 
 int main() {
   bench::banner(
-      "E10  ablations: pool sharding by loop count; sync-cost sensitivity",
+      "E10  ablations: per-loop lists vs one list; sync-cost sensitivity",
       "one list per innermost loop keeps SEARCH short; the scheme's "
       "overhead scales with the machine's synchronization price");
 
@@ -61,19 +61,6 @@ int main() {
                  bench::fmt(steps(rp), 2), bench::fmt(steps(rc), 2)});
   }
   table_a.print();
-
-  std::printf("\n--- (a2) shards per loop list (activation-heavy, P=16) ---\n");
-  bench::Table table_s({"shards", "makespan", "eta", "search_steps"});
-  for (u32 shards : {1u, 2u, 4u, 8u}) {
-    auto prog = wide_program(8, 24, 50);
-    runtime::SchedOptions opts;
-    opts.pool_shards = shards;
-    const auto r = runtime::run_vtime(prog, kProcs, opts);
-    table_s.row({bench::fmt(shards), bench::fmt(r.makespan),
-                 bench::fmt(r.utilization()),
-                 bench::fmt(r.total.search_steps)});
-  }
-  table_s.print();
 
   std::printf("\n--- (b) sync-op price sensitivity on the Fig. 1 nest ---\n");
   bench::Table table_b({"machine", "sync_op", "makespan", "eta"});

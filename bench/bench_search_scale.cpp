@@ -1,26 +1,31 @@
-// E12 — SEARCH scalability: hierarchical SW + rotating per-worker cursors
-// vs the flat control word with the paper's scan-from-bit-0 discipline.
+// E12 — SEARCH scalability of the one SEARCH the runtime ships: a flat
+// multi-word control word SW, per-worker rotating cursors seeded at the
+// worker's home list, and local-list-first probing, swept over m lists and
+// P processors.
 //
 // A churn-heavy wide program (many innermost loops, many short instances,
 // tiny bodies) makes every worker live in SEARCH: instances appear and
 // drain within a few dispatches, so the high-level path — leading-one
-// detection, try-lock, re-test — dominates.  With bit-0 scanning all P
-// searchers convoy on the lowest non-empty list (failed try-locks, stale
-// bits, retries); rotating cursors spread them, and for m > 64 the summary
-// level turns the O(m/64) leaf sweep into O(1) fetches.
+// detection, try-lock, re-test — dominates.
 //
-// Virtual-time only: the vtime engine charges every sync op from one cost
-// model and serializes them deterministically, so makespans are exact
-// virtual cycles — bit-identical on any host, which is what lets
-// tools/bench_gate.py gate regressions in CI without real-hardware noise.
+// The gated columns are virtual-time: the vtime engine charges every sync
+// op from one cost model and serializes them deterministically, so
+// makespans are exact virtual cycles — bit-identical on any host, which is
+// what lets tools/bench_gate.py gate regressions in CI without
+// real-hardware noise.  The wall_ms column is the same program on real
+// cores (threads engine, one persistent team per P, P <= nproc, median of
+// kWallRuns runs): informational, never gated.
 //
 // Usage: bench_search_scale [--json PATH] [--max-procs N]
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/thread_team.hpp"
 #include "program/ast.hpp"
 #include "runtime/scheduler.hpp"
 
@@ -50,13 +55,25 @@ struct Metric {
   const char* unit;
   const char* better;  // "less" | "more"
   bool gate;           // compared against the committed baseline in CI
+  bool deterministic = true;  // vtime; false for wall-clock rows
 };
 
-struct Config {
-  const char* tag;
-  bool hierarchical;
-  bool rotate;
-};
+constexpr int kWallRuns = 9;
+
+/// Median wall-clock makespan in ms of kWallRuns threads runs on one team.
+double wall_median_ms(const program::NestedLoopProgram& prog, u32 procs) {
+  exec::ThreadTeam team(procs);
+  runtime::SchedOptions opts;
+  opts.measure_phases = false;
+  std::vector<double> ms;
+  for (int r = 0; r < kWallRuns; ++r) {
+    ms.push_back(static_cast<double>(
+                     runtime::run_threads_on(team, prog, opts).makespan) /
+                 1e6);
+  }
+  std::nth_element(ms.begin(), ms.begin() + kWallRuns / 2, ms.end());
+  return ms[kWallRuns / 2];
+}
 
 }  // namespace
 
@@ -76,74 +93,60 @@ int main(int argc, char** argv) {
   }
 
   bench::banner(
-      "E12 search scale: hierarchical SW + rotating cursors vs flat + bit-0",
-      "SEARCH stays O(1) as m and P grow instead of convoying every "
-      "processor on the lowest non-empty list");
+      "E12 search scale: flat SW + rotating cursors across m and P",
+      "SEARCH stays cheap as m and P grow: rotating cursors keep the P "
+      "searchers off one another's lists");
 
   constexpr i64 kWidth = 16;
   constexpr Cycles kBody = 10;
-  constexpr Config kConfigs[] = {
-      {"flat_bit0", false, false},   // the pre-hierarchical baseline
-      {"hier_rotate", true, true},   // the default configuration
-  };
+  const u32 cores = std::max(1u, std::thread::hardware_concurrency());
 
   std::vector<Metric> metrics;
-  bench::Table table({"m", "procs", "config", "makespan_vcycles",
-                      "iters_per_kcycle", "search_probes", "search_retries",
-                      "lock_failures", "vs_flat"});
+  bench::Table table({"m", "procs", "makespan_vcycles", "iters_per_kcycle",
+                      "search_probes", "search_retries", "lock_failures",
+                      "wall_ms"});
 
   for (const u32 m : {4u, 64u, 256u}) {
-    std::vector<u32> procs_sweep;
-    for (u32 p : {1u, 2u, 4u, 8u, 16u}) {
-      if (p <= max_procs) procs_sweep.push_back(p);
-    }
-    for (const u32 procs : procs_sweep) {
-      const i64 total_iters = static_cast<i64>(m) * kWidth * 2;
-      Cycles flat_makespan = 0;
-      for (const Config& cfg : kConfigs) {
-        runtime::SchedOptions opts;
-        opts.sw_hierarchical = cfg.hierarchical;
-        opts.search_rotate = cfg.rotate;
-        auto prog = wide_program(m, kWidth, kBody);
-        const auto r = runtime::run_vtime(prog, procs, opts);
-        if (cfg.tag == kConfigs[0].tag) flat_makespan = r.makespan;
-        const double thru = 1000.0 * static_cast<double>(total_iters) /
-                            static_cast<double>(r.makespan);
-        const double vs_flat = static_cast<double>(flat_makespan) /
-                               static_cast<double>(r.makespan);
+    const auto prog = wide_program(m, kWidth, kBody);
+    const i64 total_iters = static_cast<i64>(m) * kWidth * 2;
+    for (const u32 procs : {1u, 2u, 4u, 8u, 16u}) {
+      if (procs > max_procs) break;
+      const auto r = runtime::run_vtime(prog, procs);
+      const double thru = 1000.0 * static_cast<double>(total_iters) /
+                          static_cast<double>(r.makespan);
+      const std::string key = "search_scale/m" + std::to_string(m) + "/p" +
+                              std::to_string(procs);
+      const bool wall = procs <= cores;
+      const double wall_ms = wall ? wall_median_ms(prog, procs) : 0.0;
 
-        table.row({bench::fmt(m), bench::fmt(procs), cfg.tag,
-                   bench::fmt(r.makespan), bench::fmt(thru, 2),
-                   bench::fmt(r.counters.search_probes),
-                   bench::fmt(r.counters.search_retries),
-                   bench::fmt(r.counters.list_lock_failures),
-                   bench::fmt(vs_flat, 2)});
+      table.row({bench::fmt(m), bench::fmt(procs), bench::fmt(r.makespan),
+                 bench::fmt(thru, 2), bench::fmt(r.counters.search_probes),
+                 bench::fmt(r.counters.search_retries),
+                 bench::fmt(r.counters.list_lock_failures),
+                 wall ? bench::fmt(wall_ms, 3) : std::string("-")});
 
-        const std::string key = "search_scale/m" + std::to_string(m) + "/p" +
-                                std::to_string(procs) + "/" + cfg.tag;
+      metrics.push_back({key + "/makespan", static_cast<double>(r.makespan),
+                         "vcycles", "less", true});
+      metrics.push_back({key + "/search_probes",
+                         static_cast<double>(r.counters.search_probes),
+                         "count", "less", false});
+      metrics.push_back({key + "/search_retries",
+                         static_cast<double>(r.counters.search_retries),
+                         "count", "less", false});
+      metrics.push_back({key + "/list_lock_failures",
+                         static_cast<double>(r.counters.list_lock_failures),
+                         "count", "less", false});
+      if (wall) {
         metrics.push_back(
-            {key + "/makespan", static_cast<double>(r.makespan), "vcycles",
-             "less", true});
-        metrics.push_back({key + "/search_probes",
-                           static_cast<double>(r.counters.search_probes),
-                           "count", "less", false});
-        metrics.push_back({key + "/search_retries",
-                           static_cast<double>(r.counters.search_retries),
-                           "count", "less", false});
-        metrics.push_back({key + "/list_lock_failures",
-                           static_cast<double>(r.counters.list_lock_failures),
-                           "count", "less", false});
-        if (cfg.tag != kConfigs[0].tag) {
-          metrics.push_back({key + "/speedup_vs_flat", vs_flat, "x", "more",
-                             true});
-        }
+            {key + "/wall_ms", wall_ms, "ms", "less", false, false});
       }
     }
   }
   table.print();
   std::printf(
-      "\nexpect: vs_flat grows with m and P — rotation kills the bit-0 "
-      "convoy, the summary level kills the multi-leaf sweep at m=256.\n");
+      "\nwall_ms: threads engine, median of %d runs on a persistent team, "
+      "P <= %u cores; informational, never gated.\n",
+      kWallRuns, cores);
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -152,14 +155,15 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"bench_search_scale\",\n");
-    std::fprintf(f, "  \"deterministic\": true,\n  \"metrics\": [\n");
+    std::fprintf(f, "  \"metrics\": [\n");
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       const Metric& mt = metrics[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": "
-                   "\"%s\", \"better\": \"%s\", \"deterministic\": true, "
+                   "\"%s\", \"better\": \"%s\", \"deterministic\": %s, "
                    "\"gate\": %s}%s\n",
                    mt.name.c_str(), mt.value, mt.unit, mt.better,
+                   mt.deterministic ? "true" : "false",
                    mt.gate ? "true" : "false",
                    i + 1 < metrics.size() ? "," : "");
     }

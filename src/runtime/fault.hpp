@@ -305,7 +305,8 @@ struct CancelState {
   i64 stall_ns = 0;
   /// vtime: virtual time of the last completed chunk.
   std::atomic<Cycles> watch_vt{0};
-  /// Threads: host_now_ns() of the last completed chunk.
+  /// Threads: host_now_ns() of the last completed chunk or of the seed; 0
+  /// until seed_program opens the first window.
   std::atomic<i64> watch_host{0};
 };
 

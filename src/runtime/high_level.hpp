@@ -29,9 +29,7 @@ struct SchedState {
   SchedState(const program::CompiledProgram& p, const SchedOptions& o)
       : prog(&p),
         opts(o),
-        pool(o.central_queue ? 1u
-                             : p.num_loops() * std::max(1u, o.pool_shards),
-             o.sw_hierarchical),
+        pool(o.central_queue ? 1u : p.num_loops()),
         bars(o.bar_buckets) {
     outstanding.reset(0);
     done.reset(0);
@@ -48,13 +46,9 @@ struct SchedState {
     bars.set_host_quiescent(q);
   }
 
-  /// Which task-pool list receives an instance of loop i appended by
-  /// processor `proc` (shard selection; searchers scan all lists via SW).
-  u32 list_of(LoopId i, ProcId proc = 0) const {
-    if (opts.central_queue) return 0;
-    const u32 shards = std::max(1u, opts.pool_shards);
-    return i * shards + (proc % shards);
-  }
+  /// The task-pool list that holds the instances of loop i: list i, or
+  /// the single list of the central-queue ablation.
+  u32 list_of(LoopId i) const { return opts.central_queue ? 0 : i; }
 
   const program::CompiledProgram* prog;
   SchedOptions opts;
@@ -88,9 +82,10 @@ struct WorkerCursor {
   i64 b = 0;
   IndexVec ivec;
 
-  /// Where this worker's leading-one-detection starts.  Seeded to
-  /// worker_id * m / P on first SEARCH so the team fans out across the
-  /// lists, then rotated past lists the worker just contended on.
+  /// Where this worker's leading-one-detection starts.  Seeded to the
+  /// worker's home list (shard::home_shard_of over the m lists) on first
+  /// SEARCH so the team fans out across the lists, then rotated past lists
+  /// the worker just contended on.
   u32 search_origin = kNoList;
   /// Last list this worker attached to (or appended its instance to):
   /// probed first on the next SEARCH — its ICB and lock are likely still
@@ -276,7 +271,8 @@ inline bool deadline_expired(C& ctx, const SchedState<C>& st) {
 /// Has the stall watchdog's budget elapsed since the last progress mark?
 /// Disarmed (budget 0): constant false, no reads, bit-equal to the
 /// pre-watchdog path.  vtime: virtual-clock comparison against the mark.
-/// Threads: host steady clock against the mark.
+/// Threads: host steady clock against the mark; no window is open (mark
+/// 0) until seed_program opens the first one.
 template <exec::ExecutionContext C>
 inline bool watchdog_expired(C& ctx, const SchedState<C>& st) {
   if constexpr (C::kIsSimulated) {
@@ -287,9 +283,8 @@ inline bool watchdog_expired(C& ctx, const SchedState<C>& st) {
   } else {
     (void)ctx;
     if (st.cancel.stall_ns <= 0) return false;
-    return fault::host_now_ns() -
-               st.cancel.watch_host.load(std::memory_order_relaxed) >
-           st.cancel.stall_ns;
+    const i64 mark = st.cancel.watch_host.load(std::memory_order_relaxed);
+    return mark != 0 && fault::host_now_ns() - mark > st.cancel.stall_ns;
   }
 }
 
@@ -580,9 +575,8 @@ void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
       const bool doacross = d->doacross.has_value();
       icb->init(cur, b, ivec, doacross, d->depth,
                 index_shards_for(ctx, st.opts.strategy, doacross, b));
-      icb->pool_list = st.list_of(cur, ctx.proc());
       ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kIncrement);
-      st.pool.append(ctx, icb->pool_list, icb);
+      st.pool.append(ctx, st.list_of(cur), icb);
       ctx.stats().enters++;
       trace::event_end(ctx, te, trace::EventKind::kEnter, cur,
                        trace::ivec_hash(ivec, d->depth), 1, b);
@@ -645,14 +639,15 @@ inline bool icb_has_unscheduled(C& ctx, Icb<C>* ip) {
 }
 
 // ---------------------------------------------------------------------------
-// SEARCH — Algorithm 4, with two scalability refinements over the paper's
-// scan-from-bit-0 discipline (both off under SchedOptions::search_rotate =
-// false, which reproduces the paper exactly):
+// SEARCH — Algorithm 4, with two refinements over the paper's
+// scan-from-bit-0 discipline (EXPERIMENTS.md E12 measures both on real
+// cores):
 //
 //   * rotating cursor: each worker's leading-one-detection starts at its
-//     persistent cursor.search_origin (seeded worker_id * m / P, advanced
-//     past any list the worker just contended on), so P searchers spread
-//     across the non-empty lists instead of convoying on the lowest bit;
+//     persistent cursor.search_origin (seeded at the worker's home list
+//     shard::home_shard_of(worker_id, P, m), advanced past any list the
+//     worker just contended on), so P searchers spread across the
+//     non-empty lists instead of convoying on the lowest bit;
 //   * local-list-first: the list the worker last attached to is re-probed
 //     with a single-bit test before any SW scan — consecutive dispatch
 //     cycles on the same loop stay on a cache-warm list.
@@ -669,18 +664,15 @@ SearchOutcome search_until(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
   const Cycles ts = trace::event_begin(ctx);
   i64 walked = 0;  // list nodes examined, reported in the kSearch event
   const u32 m = st.pool.num_lists();
-  const bool rotate = st.opts.search_rotate;
   if (cursor.search_origin >= m) {
     // First SEARCH of this worker: fan the team out across the lists.
     cursor.search_origin =
-        rotate ? static_cast<u32>(static_cast<u64>(ctx.proc()) * m /
-                                  std::max(1u, ctx.num_procs()))
-               : 0;
+        shard::home_shard_of(ctx.proc(), ctx.num_procs(), m);
   }
   // A list we contended on (lock busy, stale bit, or saturated instances):
   // advance the cursor past it so the next probe spreads elsewhere.
   const auto rotate_past = [&](u32 i) {
-    if (rotate) cursor.search_origin = (i + 1) % m;
+    cursor.search_origin = (i + 1) % m;
     if (cursor.last_list == i) cursor.last_list = WorkerCursor<C>::kNoList;
   };
   sync::Backoff backoff(1, st.opts.idle_backoff_max);
@@ -700,11 +692,10 @@ SearchOutcome search_until(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
     deadline_check(ctx, st);  // free until a deadline actually expires
     trace::bump(ctx, &trace::Counters::search_probes);
     u32 i;
-    if (rotate && cursor.last_list < m &&
-        st.pool.sw().test(ctx, cursor.last_list)) {
+    if (cursor.last_list < m && st.pool.sw().test(ctx, cursor.last_list)) {
       i = cursor.last_list;
     } else {
-      i = st.pool.sw().leading_one(ctx, rotate ? cursor.search_origin : 0);
+      i = st.pool.sw().leading_one(ctx, cursor.search_origin);
     }
     if (i == CtxControlWord<C>::kEmpty) {
       cursor.last_list = WorkerCursor<C>::kNoList;
@@ -780,7 +771,7 @@ SearchOutcome search_until(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
       // Remember where we found work: the next SEARCH probes this list
       // first and scans onward from it.
       cursor.last_list = i;
-      if (rotate) cursor.search_origin = i;
+      cursor.search_origin = i;
       ctx.stats().searches++;
       trace::event_end(ctx, ts, trace::EventKind::kSearch, cursor.i,
                        trace::ivec_hash(cursor.ivec,

@@ -56,9 +56,6 @@ struct Icb {
   Icb* left = nullptr;
 
   LoopId loop = kNoLoop;
-  /// Task-pool list this ICB was appended to (shard-aware; the deleting
-  /// processor may differ from the appending one).
-  u32 pool_list = 0;
   i64 bound = 0;
   /// Nesting depth of `loop` — the meaningful prefix of `ivec` (entries past
   /// it are stale scratch from the activator's cursor).  Lets diagnostics

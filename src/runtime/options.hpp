@@ -104,29 +104,6 @@ struct SchedOptions {
   /// lists avoid, §III-A).
   bool central_queue = false;
 
-  /// Two-level hierarchical control word: a summary level over the 64-bit
-  /// leaf words of SW lets SEARCH find a non-empty list with one summary
-  /// Fetch + one leaf Fetch for any m, instead of sweeping every leaf.
-  /// Only meaningful for m > 64 lists; false reproduces the flat
-  /// multi-word scan (ablation baseline for bench_search_scale).
-  bool sw_hierarchical = true;
-
-  /// Per-worker rotating search cursor: each worker starts leading-one-
-  /// detection at worker_id * m / P (wrapping) and rotates past lists it
-  /// just contended on, plus re-probes the list it last attached to first
-  /// (local-list preference).  false reproduces the paper's scan-from-bit-0
-  /// discipline, where all P searchers convoy on the lowest non-empty list
-  /// (ablation baseline for bench_search_scale).
-  bool search_rotate = true;
-
-  /// Shards per innermost-loop list (>= 1).  The paper notes that other
-  /// parallel data structures [24] could implement the task pool; sharding
-  /// each loop's list S ways — activators append to the shard hashed from
-  /// their processor id, SW grows to m*S bits — spreads lock and
-  /// leading-one traffic when many processors activate instances of the
-  /// same loop.  1 reproduces the paper's layout exactly.
-  u32 pool_shards = 1;
-
   /// Failure policy after a cancelled run (see OnBodyError).
   OnBodyError on_body_error = OnBodyError::kThrow;
 

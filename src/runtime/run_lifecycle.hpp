@@ -141,11 +141,9 @@ struct ProgramRun {
         arm_deadline(std::chrono::steady_clock::now() +
                      std::chrono::milliseconds(o.deadline_ms));
       }
-      if (o.watchdog_stall_ms > 0) {
-        st.cancel.stall_ns = o.watchdog_stall_ms * 1'000'000;
-        st.cancel.watch_host.store(fault::host_now_ns(),
-                                   std::memory_order_relaxed);
-      }
+      // The stall watchdog's first window opens in seed_program, not here:
+      // a slow team start or a queued admission is not a stall.
+      st.cancel.stall_ns = o.watchdog_stall_ms * 1'000'000;
     }
   }
 

@@ -21,8 +21,7 @@ namespace selfsched::runtime {
 template <exec::ExecutionContext C>
 class TaskPool {
  public:
-  explicit TaskPool(u32 num_lists, bool hierarchical_sw = true)
-      : m_(num_lists), sw_(num_lists, hierarchical_sw) {
+  explicit TaskPool(u32 num_lists) : m_(num_lists), sw_(num_lists) {
     SS_CHECK(num_lists > 0);
     lists_ = std::make_unique<List[]>(m_);
     for (u32 i = 0; i < m_; ++i) lists_[i].lock.reset(1);

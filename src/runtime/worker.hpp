@@ -320,7 +320,7 @@ GrantStop run_grants(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
         // All iterations are scheduled (not necessarily completed): remove
         // the ICB so searchers move on to other instances.
         exec::PhaseScope<C> exit_phase(ctx, exec::Phase::kExitEnter);
-        st.pool.delete_icb(ctx, icb.pool_list, &icb);
+        st.pool.delete_icb(ctx, st.list_of(icb.loop), &icb);
       }
     }
 
@@ -458,6 +458,11 @@ void worker_loop(C& ctx, SchedState<C>& st) {
 /// Seed the program's initial activation (the paper's instrumented prologue)
 /// and handle the degenerate all-constructs-skipped case.
 ///
+/// Seeding opens the threads stall watchdog's first window: batch and serve
+/// both seed here once a worker is in the namespace, so neither the team's
+/// start line nor an admission queue counts as a stall.  vtime's window
+/// opens at virtual time 0 and is left alone.
+///
 /// The seeder runs while its peers already search, and ENTER counts each
 /// sibling instance into `outstanding` just before appending it.  So the
 /// seeder holds one unit of `outstanding` across the whole ENTER: without
@@ -467,6 +472,7 @@ void worker_loop(C& ctx, SchedState<C>& st) {
 /// already finished (or none was activated).
 template <exec::ExecutionContext C>
 void seed_program(C& ctx, SchedState<C>& st) {
+  if constexpr (!C::kIsSimulated) watchdog_progress(ctx, st);
   exec::PhaseScope<C> phase(ctx, exec::Phase::kExitEnter);
   IndexVec ivec;
   ivec.resize(st.prog->max_depth);

@@ -22,8 +22,6 @@ namespace selfsched::trace {
                                strategy grabs with one claim; kept for        \
                                perfbench's cas_retries_per_dispatch */        \
   X(sw_scans)               /* SW leading-one-detection invocations */        \
-  X(sw_summary_repairs)     /* hierarchical-SW fallback scans that healed     \
-                               a stale summary bit */                         \
   X(search_probes)          /* SEARCH list-selection probes (local-list       \
                                test or leading-one scan) */                   \
   X(search_retries)         /* SEARCH rounds that selected a list but came    \

@@ -17,7 +17,9 @@
 #include "program/fig1.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/high_level.hpp"
+#include "runtime/run_lifecycle.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/worker.hpp"
 #include "trace/recorder.hpp"
 #include "vtime/context.hpp"
 #include "vtime/schedule_ctrl.hpp"
@@ -259,6 +261,63 @@ TEST(FaultWatchdog, ClaimsTheRecordWhenNoRicherOneExists) {
   EXPECT_EQ(r.failure->kind, FailureRecord::Kind::kWatchdog);
   EXPECT_NE(r.failure->message.find("watchdog"), std::string::npos);
   EXPECT_GE(r.counters.serve_watchdog_rescues, 1u);
+}
+
+TEST(FaultWatchdog, WindowOpensAtTheSeedNotWhenTheRunIsBuilt) {
+  // A 1 ms budget, and the host sleeps well past it between building the
+  // run and starting its worker — as a slow team start or a served
+  // program's admission queue would.  The first window opens when the
+  // worker seeds the program, so the wait is not a stall.  A rescue is
+  // legitimate only if the worker itself went 1 ms between marks, which
+  // needs the seed-to-finish span to reach the budget; a preempted worker
+  // makes the run inconclusive, never a false failure.
+  constexpr i64 kN = 64;
+  const auto prog = workloads::flat_doall(kN, nullptr);
+  SchedOptions opts;
+  opts.on_body_error = OnBodyError::kReturn;
+  opts.watchdog_stall_ms = 1;
+  runtime::ProgramRun<exec::RContext> run(prog.tables(), opts, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  exec::RContext ctx(0, 1, /*measure_phases=*/false);
+  ctx.set_trace_sink(&run.rec.sink(0), run.rec.epoch());
+  const auto t0 = std::chrono::steady_clock::now();
+  runtime::seed_program(ctx, run.st);
+  runtime::worker_loop(ctx, run.st);
+  const auto span = std::chrono::steady_clock::now() - t0;
+  run.stats[0] = ctx.stats();
+  const RunResult r = run.finish(1, 0);
+
+  const bool could_stall = span >= std::chrono::milliseconds(1);
+  EXPECT_TRUE(!r.failure.has_value() || could_stall)
+      << fault::FailureRecord::kind_name(r.failure->kind) << ": "
+      << r.failure->message;
+  if (!r.failure.has_value()) {
+    EXPECT_EQ(r.total.iterations, static_cast<u64>(kN));
+    EXPECT_EQ(r.counters.serve_watchdog_rescues, 0u);
+  }
+}
+
+TEST(FaultWatchdog, ArmedOversubscribedRunCompletes) {
+  // Twice as many workers as cores, armed: the team's start line may take
+  // longer than the budget on a loaded host, but the window opens at the
+  // seed, and from then on some worker completes a chunk every few
+  // microseconds.  The budget still has to cover a preempted worker that
+  // holds the last iterations: with four copies of this run in parallel
+  // (8x oversubscribed), 30 ms tripped in 6 of 60 runs, once with 32767 of
+  // the 32768 iterations done.
+  const u32 procs = 2 * std::max(1u, std::thread::hardware_concurrency());
+  constexpr i64 kN = i64{1} << 15;
+  const auto prog = workloads::flat_doall(
+      kN, [](const IndexVec&, i64) -> Cycles { return 200; });
+  SchedOptions opts;
+  opts.on_body_error = OnBodyError::kReturn;
+  opts.watchdog_stall_ms = 150;
+  const RunResult r = runtime::run_threads(prog, procs, opts);
+  EXPECT_FALSE(r.failure.has_value())
+      << (r.failure ? r.failure->message : std::string());
+  EXPECT_EQ(r.total.iterations, static_cast<u64>(kN));
+  EXPECT_EQ(r.counters.serve_watchdog_rescues, 0u);
 }
 
 // ---------------------------------------------------------------- deadlines
@@ -605,9 +664,7 @@ TEST(FaultShard, WatchdogShorterThanAHomeShardDrainLeavesAHealthyRunAlone) {
   // half a second while one iteration takes a few thousandths of the
   // 150 ms budget.  The grant loop marks progress after every chunk, so the
   // watchdog never sees a stall; a mark only per attachment would leave it
-  // a whole drain.  The budget window opens before the team starts, and a
-  // heavily oversubscribed host took up to about 90 ms to reach the first
-  // grant, hence 150 ms rather than a few.
+  // a whole drain.
   constexpr i64 kN = i64{1} << 18;
   const auto prog = workloads::flat_doall(
       kN, [](const IndexVec&, i64) -> Cycles { return 6000; });

@@ -1,7 +1,6 @@
 // Instance-churn hot path: the ENTER differential battery across the
-// strategy portfolio and task-pool shard counts; default-path bit-identity
-// (explicit grouping defaults must be indistinguishable from the seed
-// path); the directed regressions for the eval_bound constant-path bound
+// strategy portfolio and team sizes; default-path bit-identity (explicit
+// pool defaults must be indistinguishable from the seed path); the directed regressions for the eval_bound constant-path bound
 // check and the named normalizer diagnostic; and the ICB-pool /
 // quiescence-token unit surface (atomic allocated() sampling, host
 // accessors refused while workers are live).
@@ -97,9 +96,10 @@ std::vector<ChunkGrant> chunk_log(const RunResult& r) {
 // ------------------------------------------ differential matrix (vtime) --
 
 // ENTER activates a sibling set one instance at a time and publishes each
-// into the loop's task-pool list; the matrix runs every strategy kind with
-// G = pool_shards lists per loop.  The suite and test names date from when
-// ENTER could batch the walk; they are kept so results stay comparable.
+// into the loop's task-pool list; the matrix runs every strategy kind on
+// teams of P = 3G workers, G in {1, 2, 4}.  The suite and test names date
+// from when ENTER could batch the walk and G counted lists per loop; they
+// are kept so results stay comparable.
 class EnterBatchMatrix
     : public ::testing::TestWithParam<std::tuple<u32, u32>> {};
 
@@ -107,13 +107,12 @@ TEST_P(EnterBatchMatrix, BatchedDoallMatchesSerialOracleAcrossSchedules) {
   const auto [si, g] = GetParam();
   SchedOptions opts;
   opts.strategy = portfolio()[si];
-  opts.pool_shards = g;
   opts.audit = true;  // audit_abort=true: any lifecycle forgery fails loudly
   runtime::ScheduleSweep sweep;
   sweep.schedules = 4;
   sweep.base_seed = 53;
   const auto d = runtime::differential_check(
-      doall_builder(6, 30), /*procs=*/6, EngineKind::kVtime, opts, sweep);
+      doall_builder(6, 30), /*procs=*/3 * g, EngineKind::kVtime, opts, sweep);
   EXPECT_TRUE(d.ok) << portfolio()[si].name() << " G=" << g << ": "
                     << d.detail;
   EXPECT_EQ(d.schedules_run, 4u);
@@ -123,13 +122,12 @@ TEST_P(EnterBatchMatrix, BatchedDoacrossMatchesSerialOracleAcrossSchedules) {
   const auto [si, g] = GetParam();
   SchedOptions opts;
   opts.doacross_strategy = portfolio()[si];
-  opts.pool_shards = g;
   opts.audit = true;
   runtime::ScheduleSweep sweep;
   sweep.schedules = 4;
   sweep.base_seed = 61;
   const auto d = runtime::differential_check(
-      doacross_builder(40), /*procs=*/6, EngineKind::kVtime, opts, sweep);
+      doacross_builder(40), /*procs=*/3 * g, EngineKind::kVtime, opts, sweep);
   EXPECT_TRUE(d.ok) << portfolio()[si].name() << " G=" << g << ": "
                     << d.detail;
   EXPECT_EQ(d.schedules_run, 4u);
@@ -143,16 +141,16 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------- determinism / replay --
 
 TEST(HotpathFlatEquivalence, ExplicitDefaultsAreBitIdenticalToSeedPath) {
-  // pool_shards=1 must not merely be correct — it must take the flat seed
-  // code path: identical makespan, op count and grant log to a run with
-  // all-default options, and no shard counter may tick (factoring2 never
-  // shards its index).
+  // central_queue=false must not merely be correct — it must take the
+  // per-loop-list seed code path: identical makespan, op count and grant
+  // log to a run with all-default options, and no shard counter may tick
+  // (factoring2 never shards its index).
   const SchedOptions defaults;
-  EXPECT_EQ(defaults.pool_shards, 1u) << "one list per loop is the default";
+  EXPECT_FALSE(defaults.central_queue) << "one list per loop is the default";
   auto run_with = [](bool explicit_flags) {
     SchedOptions opts;
     opts.strategy = Strategy::factoring2();
-    if (explicit_flags) opts.pool_shards = 1;
+    if (explicit_flags) opts.central_queue = false;
     opts.trace_events = true;
     auto prog = workloads::nested_pair(4, 50, 30);
     return runtime::run_vtime(prog, 8, opts);

@@ -177,80 +177,70 @@ TEST(TaskPool, DeleteMiddleHeadTail) {
 
 TEST(TaskPool, ManyListsIndependent) {
   RContext ctx(0, 1);
-  for (const bool hier : {true, false}) {
-    TaskPool<RContext> pool(130, hier);  // multi-word SW
-    IcbPool<RContext> icbs;
-    Icb<RContext>* a = icbs.acquire(ctx);
-    a->init(129, 1, iv({}), false);
-    pool.append(ctx, 129, a);
-    EXPECT_EQ(pool.sw().leading_one(ctx), 129u);
-    Icb<RContext>* b = icbs.acquire(ctx);
-    b->init(5, 1, iv({}), false);
-    pool.append(ctx, 5, b);
-    EXPECT_EQ(pool.sw().leading_one(ctx), 5u);
-    pool.delete_icb(ctx, 5, b);
-    EXPECT_EQ(pool.sw().leading_one(ctx), 129u);
-    pool.delete_icb(ctx, 129, a);
-    EXPECT_TRUE(pool.empty());
-  }
+  TaskPool<RContext> pool(130);  // multi-word SW
+  IcbPool<RContext> icbs;
+  Icb<RContext>* a = icbs.acquire(ctx);
+  a->init(129, 1, iv({}), false);
+  pool.append(ctx, 129, a);
+  EXPECT_EQ(pool.sw().leading_one(ctx), 129u);
+  Icb<RContext>* b = icbs.acquire(ctx);
+  b->init(5, 1, iv({}), false);
+  pool.append(ctx, 5, b);
+  EXPECT_EQ(pool.sw().leading_one(ctx), 5u);
+  pool.delete_icb(ctx, 5, b);
+  EXPECT_EQ(pool.sw().leading_one(ctx), 129u);
+  pool.delete_icb(ctx, 129, a);
+  EXPECT_TRUE(pool.empty());
 }
 
 // -------------------------------------------------------- CtxControlWord --
 
 TEST(CtxControlWord, LeafBoundaryBits) {
-  // Bits 63/64/65 straddle the first leaf-word boundary; the context-side
-  // SW must behave identically with and without the summary level.
+  // Bits 63/64/65 straddle the first word boundary of the context-side SW.
   RContext ctx(0, 1);
-  for (const bool hier : {false, true}) {
-    CtxControlWord<RContext> sw(130, hier);
-    EXPECT_EQ(sw.hierarchical(), hier);
-    for (const u32 bit : {63u, 64u, 65u}) {
-      sw.set(ctx, bit);
-      EXPECT_TRUE(sw.test(ctx, bit)) << "bit=" << bit << " hier=" << hier;
-    }
-    EXPECT_EQ(sw.leading_one(ctx), 63u);
-    sw.reset(ctx, 63);
-    EXPECT_FALSE(sw.test(ctx, 63));
-    EXPECT_EQ(sw.leading_one(ctx), 64u);
-    sw.reset(ctx, 64);
-    EXPECT_EQ(sw.leading_one(ctx), 65u);
-    EXPECT_EQ(sw.leading_one(ctx, 66), 65u) << "wrap across the boundary";
-    sw.reset(ctx, 65);
-    EXPECT_EQ(sw.leading_one(ctx), CtxControlWord<RContext>::kEmpty);
+  CtxControlWord<RContext> sw(130);
+  for (const u32 bit : {63u, 64u, 65u}) {
+    sw.set(ctx, bit);
+    EXPECT_TRUE(sw.test(ctx, bit)) << "bit=" << bit;
   }
-}
-
-TEST(CtxControlWord, SingleWordNeverGrowsASummary) {
-  RContext ctx(0, 1);
-  CtxControlWord<RContext> small(64, /*hierarchical=*/true);
-  EXPECT_FALSE(small.hierarchical());
-  CtxControlWord<RContext> big(65, /*hierarchical=*/true);
-  EXPECT_TRUE(big.hierarchical());
-  big.set(ctx, 64);
-  EXPECT_EQ(big.leading_one(ctx), 64u);
+  EXPECT_EQ(sw.leading_one(ctx), 63u);
+  sw.reset(ctx, 63);
+  EXPECT_FALSE(sw.test(ctx, 63));
+  EXPECT_EQ(sw.leading_one(ctx), 64u);
+  sw.reset(ctx, 64);
+  EXPECT_EQ(sw.leading_one(ctx), 65u);
+  EXPECT_EQ(sw.leading_one(ctx, 66), 65u) << "wrap across the boundary";
+  sw.reset(ctx, 65);
+  EXPECT_EQ(sw.leading_one(ctx), CtxControlWord<RContext>::kEmpty);
 }
 
 TEST(CtxControlWord, RaggedTailAndRotation) {
   RContext ctx(0, 1);
-  for (const bool hier : {false, true}) {
-    CtxControlWord<RContext> sw(130, hier);
-    sw.set(ctx, 129);
-    EXPECT_EQ(sw.leading_one(ctx), 129u);
-    EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
-    sw.set(ctx, 2);
-    EXPECT_EQ(sw.leading_one(ctx, 3), 129u);
-    sw.reset(ctx, 129);
-    EXPECT_EQ(sw.leading_one(ctx, 3), 2u) << "wrap from the ragged tail";
-  }
+  CtxControlWord<RContext> sw(130);
+  sw.set(ctx, 129);
+  EXPECT_EQ(sw.leading_one(ctx), 129u);
+  EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
+  sw.set(ctx, 2);
+  EXPECT_EQ(sw.leading_one(ctx, 3), 129u);
+  sw.reset(ctx, 129);
+  EXPECT_EQ(sw.leading_one(ctx, 3), 2u) << "wrap from the ragged tail";
 }
 
-TEST(CtxControlWord, HierarchicalMatchesFlatOnRandomOps) {
-  // The summary level is an accelerator, not a semantic change: one
-  // deterministic op stream, identical observable state throughout.
+TEST(CtxControlWord, MultiWordMatchesABitsetOnRandomOps) {
+  // The word-at-a-time rotated scan against a plain bitset oracle: one
+  // deterministic op stream over four words, identical observable state
+  // throughout (first set bit at or after every origin, wrapping).
   RContext ctx(0, 1);
   constexpr u32 kBits = 200;
-  CtxControlWord<RContext> flat(kBits, /*hierarchical=*/false);
-  CtxControlWord<RContext> hier(kBits, /*hierarchical=*/true);
+  CtxControlWord<RContext> sw(kBits);
+  std::vector<bool> oracle(kBits, false);
+  const auto first_from = [&oracle](u32 start) {
+    for (u32 k = 0; k < kBits; ++k) {
+      const u32 bit = (start + k) % kBits;
+      if (oracle[bit]) return bit;
+    }
+    return CtxControlWord<RContext>::kEmpty;
+  };
   u64 rng = 0x243f6a8885a308d3ull;
   const auto next = [&rng] {
     rng ^= rng << 13;
@@ -260,17 +250,17 @@ TEST(CtxControlWord, HierarchicalMatchesFlatOnRandomOps) {
   };
   for (int step = 0; step < 3000; ++step) {
     const u32 bit = static_cast<u32>(next() % kBits);
-    if (next() % 3 != 0) {
-      flat.set(ctx, bit);
-      hier.set(ctx, bit);
+    const bool set = next() % 3 != 0;
+    if (set) {
+      sw.set(ctx, bit);
     } else {
-      flat.reset(ctx, bit);
-      hier.reset(ctx, bit);
+      sw.reset(ctx, bit);
     }
+    oracle[bit] = set;
     const u32 start = static_cast<u32>(next() % kBits);
-    ASSERT_EQ(flat.leading_one(ctx, start), hier.leading_one(ctx, start))
+    ASSERT_EQ(sw.leading_one(ctx, start), first_from(start))
         << "step=" << step << " start=" << start;
-    ASSERT_EQ(flat.test(ctx, bit), hier.test(ctx, bit)) << "step=" << step;
+    ASSERT_EQ(sw.test(ctx, bit), set) << "step=" << step;
   }
 }
 

@@ -48,8 +48,8 @@ RunResult run_random(u64 program_seed, u32 procs, const SchedOptions& opts) {
 /// Outer Par of `width` instances over `loops` tiny innermost Doalls: every
 /// worker churns through many short instances, so APPENDs and DELETEs (which
 /// clear SW(i) for the duration of the list surgery, Algorithms 1-2) race
-/// SEARCHes continuously.  With pool_shards=2 and loops > 32 the SW spans
-/// multiple leaf words, exercising the hierarchical summary level too.
+/// SEARCHes continuously.  With loops > 64 the SW spans two words, so the
+/// rotated scan crosses the word boundary too.
 program::NestedLoopProgram wide_program(u32 loops, i64 width,
                                         const program::BodyFactory& bodies) {
   program::NodeSeq inner;
@@ -116,7 +116,7 @@ TEST(ScheduleExplore, SweepMatchesSerialOracle) {
       return workloads::random_program(seed, {}, bodies);
     };
     SchedOptions opts;
-    opts.pool_shards = 1 + static_cast<u32>(seed % 2);
+    opts.central_queue = seed % 2 == 1;
     for (const ControllerKind kind :
          {ControllerKind::kSeededShuffle, ControllerKind::kPct}) {
       runtime::ScheduleSweep sweep;
@@ -140,48 +140,37 @@ TEST(ScheduleExplore, SearchSurvivesTransientSwClearWindow) {
   // splice list i, so a SEARCH probing at that instant sees "empty" and
   // must divert to another list — never park an instance forever and never
   // grant the same iteration twice.  Sweep explored interleavings of a
-  // churn-heavy wide program across the full SW configuration matrix
-  // (flat/hierarchical x bit-0/rotating cursors, sharded so the word spans
-  // two leaf words) and hold every run to the serial oracle:
-  // differential_check asserts the exact iteration multiset (nothing lost,
-  // nothing double-granted), ICB release accounting, and a drained pool.
+  // churn-heavy wide program whose 72 lists span two SW words (the rotated
+  // cursors cross the word boundary) and hold every run to the serial
+  // oracle: differential_check asserts the exact iteration multiset
+  // (nothing lost, nothing double-granted), ICB release accounting, and a
+  // drained pool.
   auto builder = [](const program::BodyFactory& bodies) {
-    return wide_program(36, 3, bodies);
+    return wide_program(72, 3, bodies);
   };
-  for (const bool hier : {false, true}) {
-    for (const bool rotate : {false, true}) {
-      SchedOptions opts;
-      opts.sw_hierarchical = hier;
-      opts.search_rotate = rotate;
-      opts.pool_shards = 2;  // 72 SW bits: leaf-boundary lists included
-      for (const ControllerKind kind :
-           {ControllerKind::kSeededShuffle, ControllerKind::kPct}) {
-        runtime::ScheduleSweep sweep;
-        sweep.schedules = 2;
-        sweep.controller = kind;
-        sweep.base_seed = 7u + (hier ? 100u : 0u) + (rotate ? 10u : 0u);
-        sweep.jitter = kind == ControllerKind::kSeededShuffle ? 2 : 0;
-        const auto r = runtime::differential_check(builder, 6,
-                                                   EngineKind::kVtime, opts,
-                                                   sweep);
-        EXPECT_TRUE(r.ok)
-            << "hier=" << hier << " rotate=" << rotate << " controller="
-            << vtime::controller_kind_name(kind) << "\n" << r.detail;
-        EXPECT_EQ(r.schedules_run, 2u);
-      }
-    }
+  for (const ControllerKind kind :
+       {ControllerKind::kSeededShuffle, ControllerKind::kPct}) {
+    runtime::ScheduleSweep sweep;
+    sweep.schedules = 4;
+    sweep.controller = kind;
+    sweep.base_seed = 7u;
+    sweep.jitter = kind == ControllerKind::kSeededShuffle ? 2 : 0;
+    const auto r = runtime::differential_check(builder, 6, EngineKind::kVtime,
+                                               SchedOptions{}, sweep);
+    EXPECT_TRUE(r.ok) << "controller=" << vtime::controller_kind_name(kind)
+                      << "\n" << r.detail;
+    EXPECT_EQ(r.schedules_run, 4u);
   }
 }
 
-TEST(ScheduleExplore, HierarchicalSwKeepsCanonicalRunsBitIdentical) {
-  // Determinism across the SW swap: with >64 lists (summary level active)
-  // and rotating cursors, two canonical vtime runs of the same program must
-  // stay bit-identical — the hierarchical SW and per-worker cursors are
-  // deterministic state machines, not a nondeterminism source.
+TEST(ScheduleExplore, MultiWordSwKeepsCanonicalRunsBitIdentical) {
+  // Determinism with >64 lists (a two-word SW) and rotating cursors: two
+  // canonical vtime runs of the same program must stay bit-identical — the
+  // multi-word scan and the per-worker cursors are deterministic state
+  // machines, not a nondeterminism source.
   auto run = [] {
-    auto prog = wide_program(36, 3, nullptr);
+    auto prog = wide_program(72, 3, nullptr);
     SchedOptions opts;
-    opts.pool_shards = 2;
     opts.record_schedule = true;
     return runtime::run_vtime(prog, 8, opts);
   };
@@ -195,7 +184,6 @@ TEST(ScheduleExplore, HierarchicalSwKeepsCanonicalRunsBitIdentical) {
   EXPECT_EQ(a.counters.search_probes, b.counters.search_probes);
   EXPECT_EQ(a.counters.search_retries, b.counters.search_retries);
   EXPECT_EQ(a.counters.list_lock_failures, b.counters.list_lock_failures);
-  EXPECT_EQ(a.counters.sw_summary_repairs, b.counters.sw_summary_repairs);
 }
 
 // ---------------------------------------------------------------- (d) ----
@@ -340,37 +328,33 @@ TEST(ScheduleExplore, ReplayDivergenceIsReported) {
 }
 
 TEST(ScheduleExplore, AuditedSweepAcrossSwStrategyMatrix) {
-  // The whole SW configuration matrix under explored schedules with the
-  // invariant auditor live: any ICB-lifecycle, list-integrity, BAR_COUNT,
-  // or Doacross-flag violation aborts the run (audit_abort defaults to
-  // true), and differential_check still holds every run to the serial
-  // oracle.  This is the in-tree core of `check.sh --audit`.
-  auto builder = [](const program::BodyFactory& bodies) {
-    return wide_program(12, 3, bodies);
-  };
+  // One- and two-word SWs (12 and 72 lists), the per-loop pool and the
+  // central-queue ablation, two strategies, under explored schedules with
+  // the invariant auditor live: any ICB-lifecycle, list-integrity,
+  // BAR_COUNT, or Doacross-flag violation aborts the run (audit_abort
+  // defaults to true), and differential_check still holds every run to the
+  // serial oracle.  This is the in-tree core of `check.sh --audit`.
   u32 combo = 0;
-  for (const bool hier : {false, true}) {
-    for (const bool rotate : {false, true}) {
-      for (const u32 shards : {1u, 2u}) {
-        for (const runtime::Strategy& strat :
-             {runtime::Strategy::gss(), runtime::Strategy::trapezoid()}) {
-          SchedOptions opts;
-          opts.audit = true;
-          opts.strategy = strat;
-          opts.sw_hierarchical = hier;
-          opts.search_rotate = rotate;
-          opts.pool_shards = shards;
-          runtime::ScheduleSweep sweep;
-          sweep.schedules = 2;
-          sweep.controller = ControllerKind::kSeededShuffle;
-          sweep.base_seed = 31u + ++combo;
-          sweep.jitter = 2;
-          const auto r = runtime::differential_check(
-              builder, 5, EngineKind::kVtime, opts, sweep);
-          EXPECT_TRUE(r.ok)
-              << "hier=" << hier << " rotate=" << rotate
-              << " shards=" << shards << "\n" << r.detail;
-        }
+  for (const u32 loops : {12u, 72u}) {
+    auto builder = [loops](const program::BodyFactory& bodies) {
+      return wide_program(loops, 3, bodies);
+    };
+    for (const bool central : {false, true}) {
+      for (const runtime::Strategy& strat :
+           {runtime::Strategy::gss(), runtime::Strategy::trapezoid()}) {
+        SchedOptions opts;
+        opts.audit = true;
+        opts.strategy = strat;
+        opts.central_queue = central;
+        runtime::ScheduleSweep sweep;
+        sweep.schedules = 2;
+        sweep.controller = ControllerKind::kSeededShuffle;
+        sweep.base_seed = 31u + ++combo;
+        sweep.jitter = 2;
+        const auto r = runtime::differential_check(
+            builder, 5, EngineKind::kVtime, opts, sweep);
+        EXPECT_TRUE(r.ok) << "loops=" << loops << " central=" << central
+                          << " " << strat.name() << "\n" << r.detail;
       }
     }
   }
@@ -384,9 +368,8 @@ TEST(ScheduleExplore, SearchRetryChurnIsPinnedUnderTheAttachRetest) {
   // runs and across audit on/off (the auditor does host work only) — and
   // stays bounded even on an APPEND/DELETE-heavy program under explored
   // schedules.
-  const auto prog = wide_program(36, 3, nullptr);
-  SchedOptions base;
-  base.pool_shards = 2;
+  const auto prog = wide_program(72, 3, nullptr);
+  const SchedOptions base;
   const RunResult a = runtime::run_vtime(prog, 6, base);
   const RunResult b = runtime::run_vtime(prog, 6, base);
   EXPECT_EQ(a.counters.search_retries, b.counters.search_retries);

@@ -93,9 +93,7 @@ TEST(Stress, TaskPoolConcurrentAppendDeleteSearchLikeTraffic) {
       for (i64 r = 0; r < kPerProducer; ++r) {
         auto* p = icbs.acquire(ctx);
         p->init(0, 1, IndexVec{}, false);
-        const u32 list = static_cast<u32>(r % pool.num_lists());
-        p->pool_list = list;
-        pool.append(ctx, list, p);
+        pool.append(ctx, static_cast<u32>(r % pool.num_lists()), p);
       }
     });
   }
@@ -156,7 +154,7 @@ TEST(Stress, RepeatedThreadedFig1Runs) {
     opts.measure_phases = false;
     opts.strategy = (round % 2) ? runtime::Strategy::gss()
                                 : runtime::Strategy::self();
-    opts.pool_shards = 1 + static_cast<u32>(round % 3);
+    opts.central_queue = round % 3 == 2;
     const auto r = runtime::run_threads(prog, 1 + round % 4, opts);
     ASSERT_EQ(static_cast<i64>(r.total.iterations), want)
         << "round " << round;

@@ -4,6 +4,7 @@
 // and the barrier.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <ostream>
 #include <thread>
 #include <vector>
@@ -234,63 +235,64 @@ TEST(ControlWord, OutOfRangeStartIsNormalized) {
 }
 
 TEST(ControlWord, SizeNotAMultipleOfWordSize) {
-  // m = 130: three leaves, the last holding only two live bits — the top
-  // bit must be reachable, and a rotated origin inside the ragged leaf
+  // m = 130: three words, the last holding only two live bits — the top
+  // bit must be reachable, and a rotated origin inside the ragged word
   // must wrap cleanly.
   RContext ctx(0, 1);
-  for (const bool hier : {false, true}) {
-    ControlWord sw(130, hier);
-    sw.set(ctx, 129);
-    EXPECT_EQ(sw.leading_one(ctx), 129u);
-    EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
-    sw.set(ctx, 0);
-    EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
-    sw.reset(ctx, 129);
-    EXPECT_EQ(sw.leading_one(ctx, 129), 0u) << "wrap from the ragged tail";
-  }
+  ControlWord sw(130);
+  sw.set(ctx, 129);
+  EXPECT_EQ(sw.leading_one(ctx), 129u);
+  EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
+  sw.set(ctx, 0);
+  EXPECT_EQ(sw.leading_one(ctx, 129), 129u);
+  sw.reset(ctx, 129);
+  EXPECT_EQ(sw.leading_one(ctx, 129), 0u) << "wrap from the ragged tail";
 }
 
 TEST(ControlWord, RotatedOriginAcrossLeaves) {
   RContext ctx(0, 1);
-  for (const bool hier : {false, true}) {
-    ControlWord sw(256, hier);
-    sw.set(ctx, 5);
-    sw.set(ctx, 200);
-    EXPECT_EQ(sw.leading_one(ctx, 64), 200u);
-    EXPECT_EQ(sw.leading_one(ctx, 200), 200u);
-    EXPECT_EQ(sw.leading_one(ctx, 201), 5u);
-    sw.reset(ctx, 200);
-    EXPECT_EQ(sw.leading_one(ctx, 64), 5u);
-  }
+  ControlWord sw(256);
+  sw.set(ctx, 5);
+  sw.set(ctx, 200);
+  EXPECT_EQ(sw.leading_one(ctx, 64), 200u);
+  EXPECT_EQ(sw.leading_one(ctx, 200), 200u);
+  EXPECT_EQ(sw.leading_one(ctx, 201), 5u);
+  sw.reset(ctx, 200);
+  EXPECT_EQ(sw.leading_one(ctx, 64), 5u);
 }
 
-TEST(ControlWord, HierarchicalSetVisibleUnderContention) {
-  // Threads hammer set/reset on disjoint bit ranges spanning several
-  // leaves; every bit a thread leaves set must be found (the advisory
-  // summary may only cost retries).
-  ControlWord sw(256, /*hierarchical=*/true);
+TEST(ControlWord, MultiWordSetVisibleUnderContention) {
+  // Threads hammer set/reset on interleaved bits (thread t owns the bits
+  // = t mod 4), so all four threads share every one of the four words:
+  // no Fetch&Or or Fetch&And may lose another thread's bit, and a scan
+  // from a bit its owner holds set must stop right there.
+  ControlWord sw(256);
   constexpr u32 kThreads = 4;
+  std::atomic<u32> misses{0};
   std::vector<std::thread> ts;
   for (u32 t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&sw, t] {
+    ts.emplace_back([&sw, &misses, t] {
       RContext ctx(t, kThreads);
-      const u32 base = t * 64;
       for (int round = 0; round < 2000; ++round) {
-        const u32 bit = base + static_cast<u32>(round % 64);
+        const u32 bit = static_cast<u32>(round % 64) * kThreads + t;
         sw.set(ctx, bit);
+        if (!sw.test(ctx, bit) || sw.leading_one(ctx, bit) != bit) ++misses;
         sw.reset(ctx, bit);
       }
-      sw.set(ctx, base + 63);  // leave exactly one survivor per range
+      sw.set(ctx, t * 64 + 60 + t);  // one survivor per thread and word
     });
   }
   for (auto& t : ts) t.join();
+  EXPECT_EQ(misses.load(), 0u);
   RContext ctx(0, 1);
   for (u32 t = 0; t < kThreads; ++t) {
-    const u32 survivor = t * 64 + 63;
+    const u32 survivor = t * 64 + 60 + t;
+    const u32 next = ((t + 1) % kThreads) * 64 + 60 + (t + 1) % kThreads;
     EXPECT_TRUE(sw.test(ctx, survivor));
     EXPECT_EQ(sw.leading_one(ctx, survivor), survivor);
+    EXPECT_EQ(sw.leading_one(ctx, survivor + 1), next) << "t=" << t;
   }
-  EXPECT_EQ(sw.leading_one(ctx), 63u);
+  EXPECT_EQ(sw.leading_one(ctx), 60u);
   EXPECT_EQ(popcount(sw), 4u);
 }
 

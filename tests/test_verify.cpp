@@ -46,7 +46,7 @@ TEST(Verify, RandomProgramSweep) {
       return workloads::random_program(seed, {}, bodies);
     };
     SchedOptions opts;
-    opts.pool_shards = 1 + static_cast<u32>(seed % 2);
+    opts.central_queue = seed % 2 == 1;
     const auto r = differential_check(builder, 5, EngineKind::kVtime, opts);
     EXPECT_TRUE(r.ok) << "seed=" << seed << "\n" << r.detail;
   }

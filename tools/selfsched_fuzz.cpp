@@ -68,7 +68,6 @@ struct FuzzCase {
   u64 program_seed = 0;
   u32 procs = 1;
   u32 depth = 4;
-  u32 pool_shards = 1;
   bool central_queue = false;
   u32 strategy_kind = 0;  // runtime::Strategy::Kind as u32
   i64 strategy_chunk = 1;
@@ -82,7 +81,6 @@ FuzzCase case_for_seed(u64 seed, u32 max_procs, u32 depth) {
   const runtime::Strategy s = strategy_for_seed(seed);
   c.strategy_kind = static_cast<u32>(s.kind);
   c.strategy_chunk = s.chunk;
-  c.pool_shards = 1 + static_cast<u32>(seed % 3);
   c.central_queue = seed % 7 == 0;
   c.procs = 1 + static_cast<u32>(seed % max_procs);
   return c;
@@ -93,7 +91,6 @@ runtime::SchedOptions options_for(const FuzzCase& c) {
   opts.strategy.kind =
       static_cast<runtime::Strategy::Kind>(c.strategy_kind);
   opts.strategy.chunk = c.strategy_chunk;
-  opts.pool_shards = c.pool_shards;
   opts.central_queue = c.central_queue;
   return opts;
 }
@@ -120,7 +117,6 @@ vtime::ReproFile repro_for(const FuzzCase& c,
   put("program_seed", c.program_seed);
   put("procs", c.procs);
   put("depth", c.depth);
-  put("pool_shards", c.pool_shards);
   put("central_queue", c.central_queue ? 1 : 0);
   put("strategy_kind", c.strategy_kind);
   put("strategy_chunk", static_cast<u64>(c.strategy_chunk));
@@ -131,7 +127,7 @@ vtime::ReproFile repro_for(const FuzzCase& c,
 /// Rebuild a case from a repro file's extra keys.  Returns false with an
 /// error naming the offending key in `why` when the file lacks context or
 /// carries a value the fuzzer cannot run.  Unknown keys (such as the
-/// retired strategy_aux and index_shards) are ignored.
+/// retired strategy_aux, index_shards and pool_shards) are ignored.
 bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c,
                      std::string& why) {
   bool have_seed = false;
@@ -143,8 +139,6 @@ bool case_from_repro(const vtime::ReproFile& r, FuzzCase& c,
       c.procs = static_cast<u32>(parse_u64(v));
     } else if (k == "depth") {
       c.depth = static_cast<u32>(parse_u64(v));
-    } else if (k == "pool_shards") {
-      c.pool_shards = static_cast<u32>(parse_u64(v));
     } else if (k == "central_queue") {
       c.central_queue = parse_u64(v) != 0;
     } else if (k == "strategy_kind") {

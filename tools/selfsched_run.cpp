@@ -43,7 +43,6 @@ void usage(const char* argv0, std::FILE* out) {
       "             tss2|adaptive[:TAU]\n"
       "                           low-level Doall dispatch (default self)\n"
       "  --central-queue          single-list task pool (ablation)\n"
-      "  --shards S               shards per loop list (default 1)\n"
       "\n"
       "program:\n"
       "  --param NAME=VALUE       bind a named constant (repeatable)\n"
@@ -189,8 +188,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--central-queue") {
       opts.central_queue = true;
-    } else if (arg == "--shards") {
-      opts.pool_shards = static_cast<u32>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--param") {
       const std::string kv = next();
       const auto eq = kv.find('=');

@@ -3,8 +3,8 @@
 
 A repro file whose strategy_kind names a removed or unknown strategy, or
 whose strategy_chunk is below 1, must be refused with exit 2 and an error
-that names the key.  A file that still carries the retired strategy_aux
-or index_shards key must load, with the key ignored.
+that names the key.  A file that still carries the retired strategy_aux,
+index_shards or pool_shards key must load, with the key ignored.
 
 Registered with ctest (label: unit) from tools/CMakeLists.txt; also runs
 standalone: python3 tools/test_fuzz_repro.py build/tools/selfsched-fuzz
@@ -68,6 +68,9 @@ class ReplayInputTest(unittest.TestCase):
 
     def test_retired_index_shards_key_is_ignored(self):
         self.assert_ignored(index_shards=4)
+
+    def test_retired_pool_shards_key_is_ignored(self):
+        self.assert_ignored(pool_shards=2)
 
 
 if __name__ == "__main__":
