@@ -138,9 +138,7 @@ int main(int argc, char** argv) {
         {"chunk_block", runtime::Strategy::chunked(block)},
         {"gss", runtime::Strategy::gss()},
         {"factoring", runtime::Strategy::factoring()},
-        {"factoring2", runtime::Strategy::factoring2()},
         {"trapezoid", runtime::Strategy::trapezoid()},
-        {"tss2", runtime::Strategy::trapezoid_tuned()},
     };
 
     std::printf("\n--- workload: %s (b=%lld, P=%u) ---\n", w.name,

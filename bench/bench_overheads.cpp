@@ -31,7 +31,7 @@ namespace {
 void BM_O1_IterationSyncPair(benchmark::State& state) {
   RContext ctx(0, 1, /*measure_phases=*/false);
   runtime::Icb<RContext> icb;
-  icb.init(0, 1000000000, IndexVec{}, false);
+  icb.init(0, 1000000000, 1000000000, IndexVec{}, false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         runtime::ctx_claim(ctx, icb.index, 1000000000, 1));
@@ -79,7 +79,7 @@ BENCHMARK(BM_O1_GrabClaim)->Threads(1)->Threads(2)->Threads(4)
 void BM_DispatchSelf(benchmark::State& state) {
   RContext ctx(0, 8, false);
   runtime::Icb<RContext> icb;
-  icb.init(0, 1000000000, IndexVec{}, false);
+  icb.init(0, 1000000000, 1000000000, IndexVec{}, false);
   const auto strat = runtime::Strategy::self();
   for (auto _ : state) {
     benchmark::DoNotOptimize(runtime::dispatch_iterations(ctx, icb, strat));
@@ -95,7 +95,8 @@ void BM_DispatchGss(benchmark::State& state) {
   for (auto _ : state) {
     if (remaining <= 0) {
       state.PauseTiming();
-      icb.init(0, 1 << 20, IndexVec{}, false);
+      icb.init(0, 1 << 20, runtime::step_count(strat, 1 << 20, 8),
+               IndexVec{}, false);
       remaining = 1 << 20;
       state.ResumeTiming();
     }

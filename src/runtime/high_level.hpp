@@ -132,9 +132,9 @@ inline i64 eval_bound(C& ctx, const program::Bound& bound,
 //   1. the failing worker claims the failure record (`cancel.claim`, an
 //      engine-serialized {== 0 ; Increment} election) and initiates
 //      cancellation (`cancel.latch`, same election): store done := 1 and
-//      poison every pooled instance's low-level index word to bound+1;
+//      poison every pooled instance's low-level index word to steps+1;
 //   2. every grab loop fails against the poisoned index (every portfolio
-//      strategy grabs with the {index <= bound} claim), so workers detach
+//      strategy grabs with the {index <= steps} claim), so workers detach
 //      and fall into SEARCH, which already polls `done` each round and
 //      exits;
 //   3. blocking regions (Doacross post-waits, teardown pcount drains,
@@ -175,9 +175,9 @@ inline bool cancel_requested(C& ctx, SchedState<C>& st) {
   return ctx.sync_op(st.done, Test::kNE, 0, Op::kFetch).success;
 }
 
-/// Poison every pooled instance's index word to bound+1 so all further
-/// {index <= bound ; Fetch&Add} grabs fail — every strategy grabs that
-/// way.  Instances already fully scheduled (index past bound) are
+/// Poison every pooled instance's index word to steps+1 so all further
+/// {index <= steps ; Fetch&Add} grabs fail — every flat grab is gated that
+/// way.  Instances already fully scheduled (index past steps) are
 /// unchanged in behavior.
 /// Sharded instances get every shard's index poisoned past its own
 /// sub-range the same way; `sched_done` is deliberately NOT forged — an
@@ -190,7 +190,7 @@ void poison_pool(C& ctx, SchedState<C>& st) {
   for (u32 i = 0; i < st.pool.num_lists(); ++i) {
     ctx_lock(ctx, st.pool.list_lock(i));
     for (Icb<C>* ip = st.pool.list_head(i); ip != nullptr; ip = ip->right) {
-      ctx.sync_op(ip->index, Test::kNone, 0, Op::kStore, ip->bound + 1);
+      ctx.sync_op(ip->index, Test::kNone, 0, Op::kStore, ip->steps + 1);
       if (ip->num_shards > 1) {
         for (u32 g = 0; g < ip->num_shards; ++g) {
           IcbShard<C>& sh = ip->shards[g];
@@ -573,7 +573,10 @@ void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
       }
       Icb<C>* icb = st.icbs.acquire(ctx);
       const bool doacross = d->doacross.has_value();
-      icb->init(cur, b, ivec, doacross, d->depth,
+      const Strategy& strat =
+          doacross ? st.opts.doacross_strategy : st.opts.strategy;
+      icb->init(cur, b, step_count(strat, b, ctx.num_procs()), ivec,
+                doacross, d->depth,
                 index_shards_for(ctx, st.opts.strategy, doacross, b));
       ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kIncrement);
       st.pool.append(ctx, st.list_of(cur), icb);
@@ -622,11 +625,11 @@ enum class SearchOutcome : u32 {
 };
 
 /// SEARCH's "unscheduled iterations remain" probe — one sync op either way.
-/// Flat: the paper's {index <= bound ; Fetch}.  Sharded: the flat index is
-/// unused, and no single shard index can answer for the whole instance, so
-/// probe the drained-shard election counter instead: {sched_done <
-/// num_shards ; Fetch} is false exactly when every shard's final iteration
-/// has been granted.
+/// Flat: the paper's {index <= bound ; Fetch}, with the step count as the
+/// bound.  Sharded: the flat index is unused, and no single shard index can
+/// answer for the whole instance, so probe the drained-shard election
+/// counter instead: {sched_done < num_shards ; Fetch} is false exactly when
+/// every shard's final iteration has been granted.
 template <exec::ExecutionContext C>
 inline bool icb_has_unscheduled(C& ctx, Icb<C>* ip) {
   if (ip->num_shards > 1) {
@@ -635,7 +638,7 @@ inline bool icb_has_unscheduled(C& ctx, Icb<C>* ip) {
                  Op::kFetch)
         .success;
   }
-  return ctx.sync_op(ip->index, Test::kLE, ip->bound, Op::kFetch).success;
+  return ctx.sync_op(ip->index, Test::kLE, ip->steps, Op::kFetch).success;
 }
 
 // ---------------------------------------------------------------------------

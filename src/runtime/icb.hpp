@@ -11,12 +11,11 @@
 //   ivec        (ivec)          index vector of the enclosing loops
 //   bound                       loop bound of THIS instance (BOUND(i)
 //                               evaluated against ivec at activation time)
-//   index       (index)         next unscheduled iteration, starts at 1
+//   steps                       dispatch steps N that drain the instance
+//   index       (index)         next unscheduled step, starts at 1 (under
+//                               self a step is one iteration)
 //   icount      (icount)        completed-iteration counter, starts at 0
 //   pcount      (pcount)        processors attached to this ICB
-//   aux                         dispatch sequence counter: the step number
-//                               that sizes GSS, factoring, trapezoid and
-//                               their variants — an extension slot
 //   adapt/adapt_tau             adaptive-strategy tuned chunk + body-time
 //                               EWMA (extension slots)
 //   da_flags                    Doacross post flags, one per iteration
@@ -57,27 +56,29 @@ struct Icb {
 
   LoopId loop = kNoLoop;
   i64 bound = 0;
+  /// Dispatch steps that drain this instance, runtime::step_count of its
+  /// strategy (bound under self and adaptive).  Plain, like bound.
+  i64 steps = 0;
   /// Nesting depth of `loop` — the meaningful prefix of `ivec` (entries past
   /// it are stale scratch from the activator's cursor).  Lets diagnostics
   /// (trace events, audit reports) hash the instance identity consistently.
   Level depth = kMaxDepth;
   IndexVec ivec;
 
-  /// Next unscheduled iteration.  Invariant: once the ICB is published,
-  /// index only grows, except for poison_pool's store of bound+1.  On real
-  /// cores a failed ctx_claim still adds its chunk, so index may pass
-  /// bound+1; every reader (dispatch_flat, claim_shard, dispatch_sharded,
+  /// Next unscheduled step, 1-based.  Invariant: once the ICB is
+  /// published, index only grows, except for poison_pool's store of
+  /// steps+1.  On real cores a failed ctx_claim still adds its increment,
+  /// so index may pass steps+1; every reader (dispatch_flat,
   /// icb_has_unscheduled, SEARCH's post-attach re-test, poison_pool) only
-  /// compares it against the bound, so no reader can tell an overshoot
-  /// from bound+1.  The same holds for each IcbShard::index against hi.
+  /// compares it against `steps`, so no reader can tell an overshoot from
+  /// steps+1.  The same holds for each IcbShard::index against hi.
   typename C::Sync index;
   typename C::Sync icount;
   typename C::Sync pcount;
-  typename C::Sync aux;
-  /// Adaptive-strategy state (extension slots like `aux`): current tuned
-  /// chunk size (0 = unseeded; the first dispatcher runs a seeding
-  /// election) and the EWMA per-iteration body-time estimate in engine
-  /// ticks.  Advisory only — iteration ownership always comes from `index`.
+  /// Adaptive-strategy state (extension slots): current tuned chunk size
+  /// (0 = unseeded; the first dispatcher runs a seeding election) and the
+  /// EWMA per-iteration body-time estimate in engine ticks.  Advisory
+  /// only — iteration ownership always comes from `index`.
   typename C::Sync adapt;
   typename C::Sync adapt_tau;
 
@@ -112,23 +113,24 @@ struct Icb {
   ///
   /// Every edge is an acquire/release (or stronger) pair on the same
   /// synchronization variable, so no reader of the new generation can
-  /// observe a stale `aux` or `da_flags` value from the previous one.  The
-  /// ICB-recycling stress test in test_scheduler_threads.cpp exercises this
-  /// chain under TSan with both recycled auxiliaries.
-  void init(LoopId l, i64 b, const IndexVec& iv, bool needs_da_flags,
-            Level dep = kMaxDepth, u32 index_shards = 1) {
+  /// observe a stale `steps` or `da_flags` value from the previous one.
+  /// The ICB-recycling stress test in test_scheduler_threads.cpp exercises
+  /// this chain under TSan with both recycled fields.
+  void init(LoopId l, i64 b, i64 n_steps, const IndexVec& iv,
+            bool needs_da_flags, Level dep = kMaxDepth, u32 index_shards = 1) {
     SS_DCHECK(b >= 1);
+    SS_DCHECK(n_steps >= 1 && n_steps <= b);
     SS_DCHECK(index_shards >= 1 && index_shards <= shard::kMaxIndexShards);
     SS_DCHECK(index_shards == 1 || static_cast<i64>(index_shards) <= b);
     right = left = nullptr;
     loop = l;
     bound = b;
+    steps = n_steps;
     depth = dep;
     ivec = iv;
     index.reset(1);
     icount.reset(0);
     pcount.reset(0);
-    aux.reset(0);
     adapt.reset(0);
     adapt_tau.reset(0);
     num_shards = index_shards;

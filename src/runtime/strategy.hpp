@@ -12,39 +12,30 @@
 //                Hummel/Schonberg/Flynn factoring (extension).
 //   kTrapezoid   trapezoid self-scheduling (Tzen/Ni): linearly decreasing
 //                chunks from `first` to `last` (extension).
-//   kFactoring2  true batched factoring: batch r hands out P *equal* chunks
-//                of k_r = ceil(R_r / 2P) before recomputing, R_{r+1} =
-//                R_r - P*k_r.
-//   kTrapezoidTuned
-//                TSS with the Tzen/Ni tuned endpoints — first = ceil(b/2P),
-//                exact dispatch count N = ceil(2b/(f+l)) — and a 16.16
-//                fixed-point decrement so the ramp hits `last` exactly
-//                instead of flooring the slope to an integer.
 //   kAdaptive    meta-strategy: seeds the chunk size from the §IV analytical
 //                optimum (analysis::optimal_adaptive_chunk, Eq. 7 extended
 //                with a tail-imbalance term) and retunes it per instance
 //                from per-chunk timing feedback (adaptive_feedback below).
 //
-// One dispatch shape serves every strategy: size the chunk k, then grab it
-// with ctx_claim (runtime/ctx_sync.hpp), the paper's bounded {index <= b ;
-// Fetch&Add(k)}.  self, chunk and adaptive know k up front.  The others take
-// a step number seq = {aux ; Increment} and compute k in closed form from
-// (span, P, seq) — Eleliemy & Ciorba's distributed chunk calculation — so
-// no grab reads index first and none retries.  GSS and factoring step the
-// remaining-based recurrence (guided_chunk_at): a serial drain grabs
-// exactly ceil(R/P) (or ceil(R/2P)) of the true remaining R, while under
-// contention seq order may differ from index order, so sizes can
-// interleave across workers; every iteration is still granted exactly once.
+// The step number is the grab.  Every strategy but adaptive numbers its
+// grabs 0..N-1, and the number alone fixes where a grant starts and how
+// long it is (step_at) — Eleliemy & Ciorba's distributed chunk calculation.
+// ENTER stores N (step_count) in Icb::steps, and a grab is one claim on the
+// step counter `index`: ctx_claim(index, N, 1) (runtime/ctx_sync.hpp), the
+// paper's {index <= N ; Fetch&Add(1)}.  Steps 0..N-1 are each granted once
+// in any interleaving, so a contended run hands out exactly a serial
+// drain's grants.  adaptive retunes k during the run, so it keeps the
+// iteration-valued claim ctx_claim(index, b, k), with N = b.
 //
 // vtime runs the claim as the tested instruction; real cores run it as one
-// unconditional fetch&add that succeeds iff the fetched value is <= b, so a
-// failed claim leaves index somewhere past b+1.  That overshoot is
+// unconditional fetch&add that succeeds iff the fetched value is <= N, so a
+// failed claim leaves index somewhere past N+1.  That overshoot is
 // invisible: index only grows once published (the poison store writes
-// b+1), and every reader only compares it against its bound (Icb::index).
+// N+1), and every reader only compares it against N (Icb::index).
 //
-// Cancellation containment: every grab is gated on {index <= b} through
-// ctx_claim's fetched value, so poisoning index to b+1 stops all of them —
-// see poison_pool in high_level.hpp.
+// Cancellation containment: every flat grab is gated on {index <= N}
+// through ctx_claim's fetched value, so poisoning index to N+1 stops all of
+// them — see poison_pool in high_level.hpp.
 #pragma once
 
 #include <algorithm>
@@ -80,24 +71,23 @@ inline constexpr double kAdaptiveThreadO1 = 60.0;
 inline constexpr double kAdaptiveThreadO2 = 400.0;
 
 struct Strategy {
-  // Values are pinned: fuzz repro files store them.  6 and 8 were the
-  // deleted weighted-factoring and random-steal kinds; do not reuse them.
+  // Values are pinned: fuzz repro files store them.  5, 6, 7 and 8 were
+  // the deleted batched-factoring, weighted-factoring, tuned-trapezoid and
+  // random-steal kinds; do not reuse them.
   enum class Kind : u32 {
     kSelf = 0,
     kChunk = 1,
     kGSS = 2,
     kFactoring = 3,
     kTrapezoid = 4,
-    kFactoring2 = 5,
-    kTrapezoidTuned = 7,
     kAdaptive = 9,
   };
 
   Kind kind = Kind::kSelf;
-  i64 chunk = 1;      // kChunk: fixed size; kGSS/kFactoring/kFactoring2:
-                      // minimum chunk; kAdaptive: minimum chunk clamp
-  i64 tss_first = 0;  // kTrapezoid/kTrapezoidTuned: first chunk (0 = auto)
-  i64 tss_last = 1;   // kTrapezoid/kTrapezoidTuned: final chunk
+  i64 chunk = 1;      // kChunk: fixed size; kGSS/kFactoring: minimum
+                      // chunk; kAdaptive: minimum chunk clamp
+  i64 tss_first = 0;  // kTrapezoid: first chunk (0 = auto)
+  i64 tss_last = 1;   // kTrapezoid: final chunk
   i64 adapt_tau = 0;  // kAdaptive: prior body ticks (0 = kAdaptiveDefaultTau)
   i64 adapt_max = 0;  // kAdaptive: chunk ceiling (0 = auto min(b/P, cap))
 
@@ -118,14 +108,6 @@ struct Strategy {
     SS_CHECK(last >= 1 && (first == 0 || first >= last));
     return {Kind::kTrapezoid, 1, first, last};
   }
-  static Strategy factoring2(i64 min_chunk = 1) {
-    SS_CHECK(min_chunk >= 1);
-    return {Kind::kFactoring2, min_chunk};
-  }
-  static Strategy trapezoid_tuned(i64 first = 0, i64 last = 1) {
-    SS_CHECK(last >= 1 && (first == 0 || first >= last));
-    return {Kind::kTrapezoidTuned, 1, first, last};
-  }
   static Strategy adaptive(i64 tau_prior = 0, i64 min_chunk = 1,
                            i64 max_chunk = 0) {
     SS_CHECK(tau_prior >= 0 && min_chunk >= 1 && max_chunk >= 0);
@@ -142,8 +124,6 @@ struct Strategy {
       case Kind::kGSS: return "gss";
       case Kind::kFactoring: return "factoring";
       case Kind::kTrapezoid: return "trapezoid";
-      case Kind::kFactoring2: return "factoring2";
-      case Kind::kTrapezoidTuned: return "tss2";
       case Kind::kAdaptive: return "adaptive";
     }
     return "?";
@@ -162,96 +142,87 @@ struct Dispatch {
   u32 shard = kNoShard;  // sharded instance: the shard the grant came from
 };
 
-/// Guided chunk size at dispatch sequence number `seq` (0-based): steps the
-/// serial recurrence R_0 = span, k_i = max(min_chunk, ceil(R_i/div)),
-/// R_{i+1} = max(0, R_i - k_i).  div = P gives GSS, 2P factoring.  A serial
-/// drain therefore grabs exactly what the remaining-based rule would.  O(seq)
-/// per call, over the O(P log(span/P)) grabs of an instance.  Once R_i
-/// reaches 0 the size floors at min_chunk; grabs at that point fail the
-/// {index <= b} gate anyway.
-inline i64 guided_chunk_at(i64 span, i64 div, i64 seq, i64 min_chunk) {
+/// Guided step `seq` (0-based) over `span` iterations: walks the serial
+/// recurrence R_0 = span, k_i = max(min_chunk, ceil(R_i/div)), R_{i+1} =
+/// R_i - min(k_i, R_i) to R_seq and grants the next min(k_seq, R_seq)
+/// iterations.  div = P gives GSS, 2P factoring.  O(seq) per call, over the
+/// O(P log(span/P)) steps of an instance.
+inline Dispatch guided_step_at(i64 span, i64 div, i64 seq, i64 min_chunk) {
+  const auto chunk = [&](i64 r) {
+    return std::min(r, std::max(min_chunk, (r + div - 1) / div));
+  };
   i64 remaining = span;
-  i64 k = min_chunk;
-  for (i64 i = 0;; ++i) {
-    k = std::max(min_chunk, (remaining + div - 1) / div);
-    if (i == seq || remaining == 0) break;
-    remaining = std::max<i64>(0, remaining - k);
-  }
-  return std::max<i64>(1, k);
+  for (i64 i = 0; i < seq && remaining > 0; ++i) remaining -= chunk(remaining);
+  return {span - remaining + 1, chunk(remaining)};
 }
 
-/// Trapezoid chunk size at dispatch sequence `seq`: c(n) = max(last,
+/// Trapezoid step `seq` over `span` iterations: chunk c(n) = max(last,
 /// first - n*delta), delta = (first-last)/(N-1) where N is the number of
-/// dispatches that consume the loop at the average chunk.
-inline i64 trapezoid_chunk_at(i64 span, u32 procs, i64 seq, i64 tss_first,
-                              i64 tss_last) {
-  const i64 first_chunk =
+/// dispatches that consume the loop at the average chunk.  The chunks above
+/// `last` form an arithmetic series, so the step's start is closed-form.
+inline Dispatch trapezoid_step_at(i64 span, u32 procs, i64 seq,
+                                  i64 tss_first, i64 last) {
+  const i64 first =
       tss_first > 0 ? tss_first
                     : std::max<i64>(1, span / (2 * static_cast<i64>(procs)));
-  const i64 avg = std::max<i64>(1, (first_chunk + tss_last) / 2);
+  const i64 avg = std::max<i64>(1, (first + last) / 2);
   const i64 n_dispatch = std::max<i64>(1, (span + avg - 1) / avg);
   const i64 delta =
-      n_dispatch > 1
-          ? std::max<i64>(0, (first_chunk - tss_last) / (n_dispatch - 1))
-          : 0;
-  return std::max(tss_last, first_chunk - seq * delta);
-}
-
-/// Batched-factoring chunk size at dispatch sequence number `seq` (0-based):
-/// batch r = seq/P hands out P chunks of k_r = max(min_chunk, ceil(R_r/2P)),
-/// R_{r+1} = R_r - P*k_r.  Once R_r reaches 0 the size floors at min_chunk;
-/// grabs at that point fail the {index <= b} gate anyway.
-inline i64 factoring2_chunk_at(i64 b, u32 procs, i64 seq, i64 min_chunk) {
-  const i64 p = std::max<i64>(1, static_cast<i64>(procs));
-  const i64 batch = seq / p;
-  i64 remaining = b;
-  i64 k = std::max<i64>(1, min_chunk);
-  for (i64 r = 0;; ++r) {
-    k = std::max(min_chunk, (remaining + 2 * p - 1) / (2 * p));
-    if (r == batch || remaining == 0) break;
-    remaining = std::max<i64>(0, remaining - p * k);
+      n_dispatch > 1 ? std::max<i64>(0, (first - last) / (n_dispatch - 1))
+                     : 0;
+  i64 m = 0;  // steps before seq whose chunk is above `last`
+  if (first > last) {
+    m = delta > 0 ? std::min(seq, (first - last + delta - 1) / delta) : seq;
   }
-  return std::max<i64>(1, k);
+  const i64 done = m * first - delta * (m * (m - 1) / 2) + (seq - m) * last;
+  return {done + 1, std::min(std::max(last, first - seq * delta), span - done)};
 }
 
-/// Tuned-TSS chunk size at dispatch sequence `seq`: first f (default
-/// ceil(b/2P)), last l (clamped to f), N = max(2, ceil(2b/(f+l))) dispatches,
-/// 16.16 fixed-point ramp so want(N-1) lands on l exactly.
-inline i64 tss2_chunk_at(i64 b, u32 procs, i64 seq, i64 tss_first,
-                         i64 tss_last) {
-  const i64 p = std::max<i64>(1, static_cast<i64>(procs));
-  const i64 f =
-      tss_first > 0 ? tss_first : std::max<i64>(1, (b + 2 * p - 1) / (2 * p));
-  const i64 l = std::max<i64>(1, std::min(tss_last, f));
-  const i64 nd = std::max<i64>(2, (2 * b + f + l - 1) / (f + l));
-  const i64 delta_fp = ((f - l) << 16) / (nd - 1);
-  return std::max(l, f - ((seq * delta_fp) >> 16));
-}
-
-/// Chunk size of a step-sized strategy (every kind but self, chunk and
-/// adaptive) at dispatch sequence `seq` over a range of `span` iterations
-/// shared by `procs` workers.  Pure in its arguments: the step number
-/// alone decides the size, whoever draws it.
-inline i64 step_chunk_at(const Strategy& s, i64 span, u32 procs, i64 seq) {
+/// The grant of step `seq` (0-based, below step_count) of an instance of
+/// `b` iterations on `procs` workers, under any strategy but adaptive.
+/// Pure in its arguments: the step number alone decides the grant, whoever
+/// draws it.
+inline Dispatch step_at(const Strategy& s, i64 b, u32 procs, i64 seq) {
   const i64 p = static_cast<i64>(procs);
   switch (s.kind) {
-    case Strategy::Kind::kGSS:
-      return guided_chunk_at(span, p, seq, s.chunk);
-    case Strategy::Kind::kFactoring:
-      return guided_chunk_at(span, 2 * p, seq, s.chunk);
-    case Strategy::Kind::kTrapezoid:
-      return trapezoid_chunk_at(span, procs, seq, s.tss_first, s.tss_last);
-    case Strategy::Kind::kFactoring2:
-      return factoring2_chunk_at(span, procs, seq, s.chunk);
-    case Strategy::Kind::kTrapezoidTuned:
-      return tss2_chunk_at(span, procs, seq, s.tss_first, s.tss_last);
     case Strategy::Kind::kSelf:
+      return {seq + 1, 1};
     case Strategy::Kind::kChunk:
+      return {1 + seq * s.chunk, std::min(s.chunk, b - seq * s.chunk)};
+    case Strategy::Kind::kGSS:
+      return guided_step_at(b, p, seq, s.chunk);
+    case Strategy::Kind::kFactoring:
+      return guided_step_at(b, 2 * p, seq, s.chunk);
+    case Strategy::Kind::kTrapezoid:
+      return trapezoid_step_at(b, procs, seq, s.tss_first, s.tss_last);
     case Strategy::Kind::kAdaptive:
       break;
   }
-  SS_CHECK_MSG(false, "step_chunk_at: strategy is not step-sized");
-  return 1;
+  SS_CHECK_MSG(false, "step_at: adaptive grabs by iteration, not by step");
+  return {};
+}
+
+/// Number of steps N that drain an instance of `b` >= 1 iterations under
+/// `s` on `procs` workers, stored in Icb::steps at ENTER.  adaptive's claim
+/// counts iterations, so its N is b.
+inline i64 step_count(const Strategy& s, i64 b, u32 procs) {
+  if (s.kind == Strategy::Kind::kSelf || s.kind == Strategy::Kind::kAdaptive) {
+    return b;
+  }
+  if (s.kind == Strategy::Kind::kChunk) return 1 + (b - 1) / s.chunk;
+  // Every step grants at least one iteration and starts where the last
+  // ended, so N in [1, b] is the first step that starts past b.
+  i64 lo = 1;
+  i64 hi = b;
+  while (lo < hi) {
+    const i64 mid = lo + (hi - lo) / 2;
+    if (step_at(s, b, procs, mid).first > b) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
 }
 
 /// Pure core of the adaptive tuner: the completion-time-optimal chunk for an
@@ -330,63 +301,57 @@ Cycles adaptive_clock(C& ctx) {
   }
 }
 
-/// Grab the next block of iterations from the instance's flat index,
-/// according to `s`.  This is the paper's "start:" step generalized to
-/// multi-iteration chunks: size the chunk k, then {index <= bound ;
-/// Fetch&Add(k)}.
+/// adaptive's grab: read the instance's current tuned chunk k, then claim
+/// k iterations, {index <= b ; Fetch&Add(k)}.  The first arrival runs a
+/// seeding election ({adapt == 0 ; Store k0}) so exactly one worker pays
+/// the model evaluation and every loser adopts the winner's k0.
 template <exec::ExecutionContext C>
-Dispatch dispatch_flat(C& ctx, Icb<C>& icb, const Strategy& s) {
+Dispatch dispatch_adaptive(C& ctx, Icb<C>& icb, const Strategy& s) {
   const i64 b = icb.bound;
-
-  i64 k = 1;
-  switch (s.kind) {
-    case Strategy::Kind::kSelf:
-      break;
-    case Strategy::Kind::kChunk:
-      k = s.chunk;
-      break;
-    case Strategy::Kind::kAdaptive: {
-      // Read the instance's current tuned chunk; first arrival runs a
-      // seeding election ({adapt == 0 ; Store k0}) so exactly one worker
-      // pays the model evaluation and every loser adopts the winner's k0.
-      k = ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
+  i64 k = ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
               .fetched;
-      if (k <= 0) {
-        if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-        const i64 k0 = adaptive_seed_chunk(ctx, s, icb.bound, ctx.num_procs());
-        if (ctx.sync_op(icb.adapt, sync::Test::kEQ, 0, sync::Op::kStore, k0)
-                .success) {
-          k = k0;
-          trace::bump(ctx, &trace::Counters::adapt_seeds);
-        } else {
-          k = std::max<i64>(
-              1, ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
-                     .fetched);
-        }
-      }
-      break;
-    }
-    case Strategy::Kind::kGSS:
-    case Strategy::Kind::kFactoring:
-    case Strategy::Kind::kTrapezoid:
-    case Strategy::Kind::kFactoring2:
-    case Strategy::Kind::kTrapezoidTuned: {
-      // The dispatch-sequence counter numbers this grab; the step number
-      // alone sizes it.
-      const auto seq =
-          ctx.sync_op(icb.aux, sync::Test::kNone, 0, sync::Op::kIncrement);
-      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      k = step_chunk_at(s, b, ctx.num_procs(), seq.fetched);
-      break;
+  if (k <= 0) {
+    if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
+    const i64 k0 = adaptive_seed_chunk(ctx, s, b, ctx.num_procs());
+    if (ctx.sync_op(icb.adapt, sync::Test::kEQ, 0, sync::Op::kStore, k0)
+            .success) {
+      k = k0;
+      trace::bump(ctx, &trace::Counters::adapt_seeds);
+    } else {
+      k = std::max<i64>(
+          1, ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
+                 .fetched);
     }
   }
-
   const auto r = ctx_claim(ctx, icb.index, b, k);
   if (!r.success) return {};
   Dispatch d;
   d.first = r.fetched;
   d.count = std::min(k, b - r.fetched + 1);
   d.last_scheduled = (r.fetched + d.count - 1 == b);
+  return d;
+}
+
+/// Grab the next block of iterations from the instance's flat index,
+/// according to `s`.  This is the paper's "start:" step generalized to
+/// multi-iteration chunks: take the next step, {index <= steps ;
+/// Fetch&Add(1)}, and grant that step's block.  The grab of the last step
+/// took iteration b.
+template <exec::ExecutionContext C>
+Dispatch dispatch_flat(C& ctx, Icb<C>& icb, const Strategy& s) {
+  if (s.kind == Strategy::Kind::kAdaptive) {
+    return dispatch_adaptive(ctx, icb, s);
+  }
+  if constexpr (C::kIsSimulated) {
+    // The step-sized kinds compute their grant; self and chunk index it.
+    if (s.kind != Strategy::Kind::kSelf && s.kind != Strategy::Kind::kChunk) {
+      ctx.charge(ctx.costs().dispatch_arith);
+    }
+  }
+  const auto r = ctx_claim(ctx, icb.index, icb.steps, 1);
+  if (!r.success) return {};
+  Dispatch d = step_at(s, icb.bound, ctx.num_procs(), r.fetched - 1);
+  d.last_scheduled = r.fetched == icb.steps;
   return d;
 }
 

@@ -5,8 +5,8 @@
 // taking work from it.  What every grant shares — the loop descriptor, the
 // strategy, the home shard of a sharded index — is looked up once per
 // attachment.  Per grant a processor:
-//   start:  grabs iterations with {index <= b ; Fetch&Add(k)} (strategy.hpp,
-//           next_grant).  With a sharded index a worker whose last grant came
+//   start:  grabs the next step with {index <= N ; Fetch&Add(1)} and runs
+//           the iterations that step numbers (strategy.hpp, next_grant).  With a sharded index a worker whose last grant came
 //           from its home shard claims the next one there directly; when the
 //           home shard is drained it probes the siblings from home + 1, and
 //           later grabs probe from home as before (docs/sharding.md);

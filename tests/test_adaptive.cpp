@@ -160,10 +160,13 @@ TEST_P(PortfolioSweep, PreservesIterationSetAndAuditConservation) {
   // seeded-shuffle schedules with the invariant auditor shadowing each run:
   // the parallel iteration multiset must equal the serial oracle and the
   // auditor must stay silent.
+  // Slots 0 and 2 held the deleted batched-factoring and tuned-trapezoid
+  // kinds; min-chunk factoring and explicit-endpoint trapezoid keep the
+  // positional test names.
   const std::vector<Strategy> portfolio = {
-      Strategy::factoring2(),
+      Strategy::factoring(3),
       Strategy::gss(),
-      Strategy::trapezoid_tuned(),
+      Strategy::trapezoid(8, 2),
       Strategy::factoring(),
       Strategy::adaptive(),
   };

@@ -1,5 +1,6 @@
 // The bounded grab {index <= b ; Fetch&Add(k)} behind every strategy
-// (runtime::ctx_claim).  On threads it is one unconditional fetch&add whose
+// (runtime::ctx_claim; a flat grab claims one step, {index <= N ;
+// Fetch&Add(1)}).  On threads it is one unconditional fetch&add whose
 // success is decided from the fetched value, so the index overshoots b+1;
 // these tests pin that the overshoot is invisible: every iteration is
 // granted exactly once, exactly one grab takes the last iteration, nothing
@@ -28,14 +29,14 @@ u32 team_size() {
 }
 
 /// Every strategy kind, with min-chunk GSS and factoring for the clamp of
-/// the step recurrence.
+/// the step recurrence and both trapezoid endpoint rules.
 const std::vector<Strategy>& every_kind() {
   static const std::vector<Strategy> p = {
-      Strategy::self(),           Strategy::chunked(3),
-      Strategy::gss(),            Strategy::gss(4),
-      Strategy::factoring(),      Strategy::factoring(3),
-      Strategy::trapezoid(8, 2),  Strategy::factoring2(),
-      Strategy::trapezoid_tuned(), Strategy::adaptive(),
+      Strategy::self(),          Strategy::chunked(3),
+      Strategy::gss(),           Strategy::gss(4),
+      Strategy::factoring(),     Strategy::factoring(3),
+      Strategy::trapezoid(8, 2), Strategy::trapezoid(),
+      Strategy::adaptive(),
   };
   return p;
 }
@@ -172,7 +173,8 @@ TEST(Claim, ThreadsEveryStrategyDrainsOneIcbExactlyOnce) {
                      << s.name() << " chunk=" << s.chunk << " b=" << b
                      << " shards=" << shards);
         Icb<exec::RContext> icb;
-        icb.init(0, b, IndexVec{}, false, kMaxDepth, shards);
+        icb.init(0, b, step_count(s, b, procs), IndexVec{}, false, kMaxDepth,
+                 shards);
         auto granted = std::make_unique<std::atomic<int>[]>(
             static_cast<std::size_t>(b + 1));
         std::atomic<int> last_grabs{0};
@@ -249,7 +251,8 @@ TEST(Claim, VtimeDispatchIssuesNoEqualityGrab) {
                                         << " shards=" << shards);
       vtime::Engine engine(kProcs, /*trace=*/true);
       Icb<vtime::VContext> icb;
-      icb.init(0, 1000, IndexVec{}, false, kMaxDepth, shards);
+      icb.init(0, 1000, step_count(s, 1000, kProcs), IndexVec{}, false,
+               kMaxDepth, shards);
       std::atomic<i64> total{0};
       engine.run([&](ProcId id) {
         vtime::VContext ctx(engine, id, vtime::CostModel{});
@@ -265,6 +268,37 @@ TEST(Claim, VtimeDispatchIssuesNoEqualityGrab) {
             << "equality grab at event " << e.seq;
       }
     }
+  }
+}
+
+TEST(Claim, VtimeFlatGrabIsOneSyncOp) {
+  // The step number is the grab: a flat grab under every kind but adaptive
+  // (whose first grab runs the seeding election) is one ctx_claim on the
+  // step counter.  A P = 1 drain issues exactly one sync op per attempt,
+  // the failing one after the last step included.
+  constexpr i64 kBound = 1000;
+  for (const Strategy& s : every_kind()) {
+    if (s.kind == Strategy::Kind::kAdaptive) continue;
+    SCOPED_TRACE(::testing::Message() << s.name() << " chunk=" << s.chunk);
+    vtime::Engine engine(1);
+    Icb<vtime::VContext> icb;
+    const i64 steps = step_count(s, kBound, 1);
+    icb.init(0, kBound, steps, IndexVec{}, false);
+    i64 attempts = 0;
+    i64 granted = 0;
+    engine.run([&](ProcId id) {
+      vtime::VContext ctx(engine, id, vtime::CostModel{});
+      for (;;) {
+        const u64 before = ctx.stats().sync_ops;
+        const Dispatch d = dispatch_iterations(ctx, icb, s);
+        ++attempts;
+        EXPECT_EQ(ctx.stats().sync_ops - before, 1u) << "attempt " << attempts;
+        if (d.count == 0) break;
+        granted += d.count;
+      }
+    });
+    EXPECT_EQ(attempts, steps + 1);
+    EXPECT_EQ(granted, kBound);
   }
 }
 

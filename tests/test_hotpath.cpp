@@ -33,9 +33,11 @@ using runtime::RunResult;
 using runtime::SchedOptions;
 using runtime::Strategy;
 
-/// The full strategy portfolio, in Kind order, plus min-chunk GSS and
-/// factoring in slots 6 and 8 so the step recurrence's clamp is
-/// differential-tested too (the positional test names stay put).
+/// The full strategy portfolio, in Kind order, plus variants in slots 5-8
+/// (the positional test names stay put): trapezoid with automatic
+/// endpoints, min-chunk GSS, a chunk larger than most instances (one step
+/// each) and min-chunk factoring, so the step rules' clamps are
+/// differential-tested too.
 const std::vector<Strategy>& portfolio() {
   static const std::vector<Strategy> p = {
       Strategy::self(),
@@ -43,9 +45,9 @@ const std::vector<Strategy>& portfolio() {
       Strategy::gss(),
       Strategy::factoring(),
       Strategy::trapezoid(8, 2),
-      Strategy::factoring2(),
+      Strategy::trapezoid(),
       Strategy::gss(4),
-      Strategy::trapezoid_tuned(),
+      Strategy::chunked(64),
       Strategy::factoring(3),
       Strategy::adaptive(),
   };
@@ -144,12 +146,12 @@ TEST(HotpathFlatEquivalence, ExplicitDefaultsAreBitIdenticalToSeedPath) {
   // central_queue=false must not merely be correct — it must take the
   // per-loop-list seed code path: identical makespan, op count and grant
   // log to a run with all-default options, and no shard counter may tick
-  // (factoring2 never shards its index).
+  // (factoring never shards its index).
   const SchedOptions defaults;
   EXPECT_FALSE(defaults.central_queue) << "one list per loop is the default";
   auto run_with = [](bool explicit_flags) {
     SchedOptions opts;
-    opts.strategy = Strategy::factoring2();
+    opts.strategy = Strategy::factoring();
     if (explicit_flags) opts.central_queue = false;
     opts.trace_events = true;
     auto prog = workloads::nested_pair(4, 50, 30);
@@ -238,7 +240,8 @@ TEST(HotpathPool, AllocatedIsSafeToSampleUnderChurn) {
       std::vector<runtime::Icb<RContext>*> mine;
       for (int r = 0; r < kRounds; ++r) {
         runtime::Icb<RContext>* p = pool.acquire(ctx);
-        p->init(static_cast<LoopId>(t), 1 + r % 7, IndexVec{}, r % 3 == 0);
+        const i64 b = 1 + r % 7;
+        p->init(static_cast<LoopId>(t), b, b, IndexVec{}, r % 3 == 0);
         mine.push_back(p);
         if (mine.size() >= 4) {
           pool.release(ctx, mine.back());

@@ -15,14 +15,12 @@ using selfsched::testing::Recorder;
 using selfsched::testing::normalized;
 
 runtime::Strategy strategy_for_seed(u64 seed) {
-  switch (seed % 8) {
+  switch (seed % 6) {
     case 0: return runtime::Strategy::self();
     case 1: return runtime::Strategy::chunked(static_cast<i64>(seed % 7) + 2);
     case 2: return runtime::Strategy::gss();
     case 3: return runtime::Strategy::factoring();
     case 4: return runtime::Strategy::trapezoid();
-    case 5: return runtime::Strategy::factoring2();
-    case 6: return runtime::Strategy::trapezoid_tuned();
     default: return runtime::Strategy::adaptive();
   }
 }

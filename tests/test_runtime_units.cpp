@@ -1,22 +1,29 @@
 // Unit tests of the runtime building blocks in isolation, driven through a
 // single-processor real context: ICB pool recycling, BAR_COUNT semantics,
 // task-pool list surgery with SW invariants, the dispatch strategies'
-// exact grab sequences, and the Gantt timeline renderer.
+// exact grab sequences (serial, and under contention on both engines), and
+// the Gantt timeline renderer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/real_context.hpp"
 #include "runtime/bar_count.hpp"
 #include "runtime/high_level.hpp"
 #include "runtime/icb_pool.hpp"
+#include "runtime/scheduler.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/strategy.hpp"
 #include "runtime/task_pool.hpp"
 #include "vtime/context.hpp"
 #include "vtime/engine.hpp"
+#include "workloads/iteration_cost.hpp"
+#include "workloads/programs.hpp"
 
 namespace selfsched::runtime {
 namespace {
@@ -35,7 +42,7 @@ TEST(IcbPool, AcquireInitializesAndRecycles) {
   RContext ctx(0, 1);
   IcbPool<RContext> pool;
   Icb<RContext>* a = pool.acquire(ctx);
-  a->init(3, 10, iv({1, 2}), /*needs_da_flags=*/false);
+  a->init(3, 10, /*n_steps=*/10, iv({1, 2}), /*needs_da_flags=*/false);
   EXPECT_EQ(a->loop, 3u);
   EXPECT_EQ(a->bound, 10);
   EXPECT_EQ(a->index.load(), 1);
@@ -54,12 +61,12 @@ TEST(IcbPool, DoacrossFlagArrayIsZeroedOnReuse) {
   RContext ctx(0, 1);
   IcbPool<RContext> pool;
   Icb<RContext>* a = pool.acquire(ctx);
-  a->init(0, 5, iv({}), /*needs_da_flags=*/true);
+  a->init(0, 5, 5, iv({}), /*needs_da_flags=*/true);
   a->da_flags[3].store(1);
   pool.release(ctx, a);
   Icb<RContext>* b = pool.acquire(ctx);
   ASSERT_EQ(a, b);
-  b->init(0, 4, iv({}), /*needs_da_flags=*/true);  // smaller: reuses array
+  b->init(0, 4, 4, iv({}), /*needs_da_flags=*/true);  // smaller: reuses array
   for (i64 j = 0; j <= 4; ++j) EXPECT_EQ(b->da_flags[j].load(), 0);
 }
 
@@ -132,13 +139,13 @@ TEST(TaskPool, AppendSetsSwAndLinks) {
   EXPECT_EQ(pool.sw().leading_one(ctx), CtxControlWord<RContext>::kEmpty);
 
   Icb<RContext>* a = icbs.acquire(ctx);
-  a->init(2, 3, iv({}), false);
+  a->init(2, 3, 3, iv({}), false);
   pool.append(ctx, 2, a);
   EXPECT_EQ(pool.sw().leading_one(ctx), 2u);
   EXPECT_EQ(pool.list_head(2), a);
 
   Icb<RContext>* b = icbs.acquire(ctx);
-  b->init(2, 3, iv({}), false);
+  b->init(2, 3, 3, iv({}), false);
   pool.append(ctx, 2, b);
   EXPECT_EQ(pool.list_head(2), a);
   EXPECT_EQ(a->right, b);
@@ -153,7 +160,7 @@ TEST(TaskPool, DeleteMiddleHeadTail) {
   Icb<RContext>* n[3];
   for (auto& p : n) {
     p = icbs.acquire(ctx);
-    p->init(0, 1, iv({}), false);
+    p->init(0, 1, 1, iv({}), false);
     pool.append(ctx, 0, p);
   }
   // Delete middle.
@@ -180,11 +187,11 @@ TEST(TaskPool, ManyListsIndependent) {
   TaskPool<RContext> pool(130);  // multi-word SW
   IcbPool<RContext> icbs;
   Icb<RContext>* a = icbs.acquire(ctx);
-  a->init(129, 1, iv({}), false);
+  a->init(129, 1, 1, iv({}), false);
   pool.append(ctx, 129, a);
   EXPECT_EQ(pool.sw().leading_one(ctx), 129u);
   Icb<RContext>* b = icbs.acquire(ctx);
-  b->init(5, 1, iv({}), false);
+  b->init(5, 1, 1, iv({}), false);
   pool.append(ctx, 5, b);
   EXPECT_EQ(pool.sw().leading_one(ctx), 5u);
   pool.delete_icb(ctx, 5, b);
@@ -271,7 +278,7 @@ TEST(CtxControlWord, MultiWordMatchesABitsetOnRandomOps) {
 std::vector<i64> drain(i64 b, const Strategy& s, u32 procs = 4) {
   RContext ctx(0, procs);
   Icb<RContext> icb;
-  icb.init(0, b, IndexVec{}, false);
+  icb.init(0, b, step_count(s, b, procs), IndexVec{}, false);
   std::vector<i64> sizes;
   std::set<i64> covered;
   bool saw_last = false;
@@ -377,30 +384,6 @@ std::vector<i64> closed_form(i64 b, const Strategy& s, u32 procs) {
         want = std::max(s.tss_last, first - n * delta);
         break;
       }
-      case Strategy::Kind::kFactoring2: {
-        // Batched factoring, replicated independently of the runtime
-        // helper: batch r = n/P sizes P chunks at ceil(R_r/2P).
-        const i64 batch = n / p;
-        i64 rem = b;
-        i64 k = s.chunk;
-        for (i64 r = 0;; ++r) {
-          k = std::max(s.chunk, (rem + 2 * p - 1) / (2 * p));
-          if (r == batch || rem == 0) break;
-          rem = std::max<i64>(0, rem - p * k);
-        }
-        want = std::max<i64>(1, k);
-        break;
-      }
-      case Strategy::Kind::kTrapezoidTuned: {
-        const i64 f = s.tss_first > 0 ? s.tss_first
-                                      : std::max<i64>(1, (b + 2 * p - 1) /
-                                                             (2 * p));
-        const i64 l = std::max<i64>(1, std::min(s.tss_last, f));
-        const i64 nd = std::max<i64>(2, (2 * b + f + l - 1) / (f + l));
-        const i64 delta_fp = ((f - l) << 16) / (nd - 1);
-        want = std::max(l, f - ((n * delta_fp) >> 16));
-        break;
-      }
       case Strategy::Kind::kAdaptive:
         // No feedback flows through drain() (it calls only the dispatcher),
         // so the chunk stays pinned at the threaded-engine seed.
@@ -475,49 +458,6 @@ TEST(Strategy, TrapezoidBoundSmallerThanLastChunk) {
             (std::vector<i64>{1, 1, 1}));
 }
 
-TEST(Strategy, Factoring2BatchedEqualChunks) {
-  // b=100, P=4: batch chunks ceil(R/2P) with R after each full batch of 4
-  // equal grabs: 13 (R=100), 6 (R=48), 3 (R=24), 2 (R=12), 1 (R=4).
-  EXPECT_EQ(drain(100, Strategy::factoring2(), 4),
-            (std::vector<i64>{13, 13, 13, 13, 6, 6, 6, 6, 3, 3, 3, 3, 2, 2,
-                              2, 2, 1, 1, 1, 1}));
-}
-
-TEST(Strategy, Factoring2MinChunkFloorsBatches) {
-  const auto sizes = drain(100, Strategy::factoring2(5), 4);
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    EXPECT_GE(sizes[i], 5) << "batch chunk fell below the floor";
-  }
-  EXPECT_EQ(sum(sizes), 100);
-}
-
-TEST(Strategy, Tss2ExactSequence) {
-  // Auto first: f = ceil(128/8) = 16, l = 1, N = ceil(256/17) = 16,
-  // delta = (15<<16)/15 = 1.0 fixed-point: 16,15,14,... until the bound
-  // clamps the final grab.
-  EXPECT_EQ(drain(128, Strategy::trapezoid_tuned(0, 1), 4),
-            (std::vector<i64>{16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 2}));
-}
-
-TEST(Strategy, Tss2CeilFirstDiffersFromTrapezoidFloor) {
-  // b=100, P=4: classic trapezoid floors first to 100/8 = 12; tss2 takes
-  // ceil(100/8) = 13 (Tzen/Ni's bound-covering choice).
-  EXPECT_EQ(drain(100, Strategy::trapezoid(0, 1), 4).front(), 12);
-  EXPECT_EQ(drain(100, Strategy::trapezoid_tuned(0, 1), 4).front(), 13);
-}
-
-TEST(Strategy, Tss2FractionalSlopeKeepsDecreasing) {
-  // f-l < N-1 floors the classic trapezoid's integer delta to 0 (constant
-  // chunks); the 16.16 fixed-point ramp still decreases.
-  const auto classic = drain(1000, Strategy::trapezoid(8, 1), 4);
-  const auto tuned = drain(1000, Strategy::trapezoid_tuned(8, 1), 4);
-  EXPECT_EQ(classic[0], classic[classic.size() - 2])
-      << "precondition: integer delta floored to 0";
-  EXPECT_GT(tuned.front(), tuned[tuned.size() - 2])
-      << "fixed-point ramp must actually decrease";
-  EXPECT_EQ(sum(tuned), 1000);
-}
-
 TEST(Strategy, AdaptiveConstantChunkWithoutFeedback) {
   // drain() never feeds timings back, so every grab uses the seed chunk —
   // which must be exactly the analysis-model optimum for the threaded
@@ -542,9 +482,7 @@ TEST(Strategy, AllKindsMatchClosedFormAndCoverBound) {
       Strategy::gss(),           Strategy::gss(8),
       Strategy::factoring(),     Strategy::factoring(3),
       Strategy::trapezoid(16, 2), Strategy::trapezoid(0, 1),
-      Strategy::factoring2(),    Strategy::factoring2(3),
-      Strategy::trapezoid_tuned(16, 2),
-      Strategy::trapezoid_tuned(0, 1),
+      Strategy::trapezoid(8, 1),  Strategy::trapezoid(0, 5),
       Strategy::adaptive(),
       Strategy::adaptive(10, 2, 64),
   };
@@ -560,10 +498,87 @@ TEST(Strategy, AllKindsMatchClosedFormAndCoverBound) {
   }
 }
 
+// The step number alone fixes a grant, so however the workers interleave,
+// a flat Doall's grants are exactly those of a serial drain.  The sizes of
+// a run's grants, in order of their first iteration; the grants must tile
+// [1, b].
+std::vector<i64> grant_sizes_by_first(const RunResult& r) {
+  std::vector<std::pair<i64, i64>> grants;
+  for (const auto& e : r.trace_events) {
+    if (e.kind == trace::EventKind::kChunk) {
+      grants.emplace_back(e.first, e.count);
+    }
+  }
+  std::sort(grants.begin(), grants.end());
+  std::vector<i64> sizes;
+  i64 next = 1;
+  for (const auto& [first, count] : grants) {
+    EXPECT_EQ(first, next) << "grants overlap or leave a gap";
+    next = first + count;
+    sizes.push_back(count);
+  }
+  return sizes;
+}
+
+const std::vector<Strategy>& step_sized_kinds() {
+  static const std::vector<Strategy> kinds = {
+      Strategy::gss(), Strategy::factoring(), Strategy::trapezoid()};
+  return kinds;
+}
+
+TEST(Strategy, ContendedVtimeRunsGrantTheSerialSequence) {
+  // Seeded-shuffle schedules jitter every sync op's ordering key, so the
+  // workers' claims land in many orders; a second counter that numbered
+  // the steps apart from the claim would hand out sizes out of step order.
+  constexpr i64 kBound = 600;
+  const auto prog =
+      workloads::flat_doall(kBound, workloads::uniform_cost(11, 20, 400));
+  for (const Strategy& s : step_sized_kinds()) {
+    for (const u32 procs : {4u, 8u}) {
+      const auto want = closed_form(kBound, s, procs);
+      for (const Cycles jitter : {3, 20, 200}) {
+        for (u64 seed = 1; seed <= 50; ++seed) {
+          SchedOptions opts;
+          opts.strategy = s;
+          opts.trace_events = true;
+          opts.schedule.kind = vtime::ControllerKind::kSeededShuffle;
+          opts.schedule.seed = seed;
+          opts.schedule.jitter = jitter;
+          const RunResult r = run_vtime(prog, procs, opts);
+          ASSERT_EQ(grant_sizes_by_first(r), want)
+              << s.name() << " P=" << procs << " jitter=" << jitter
+              << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(Strategy, ContendedThreadsRunsGrantTheSerialSequence) {
+  // The same on real cores, at one and two workers per core.
+  constexpr i64 kBound = 600;
+  const auto prog =
+      workloads::flat_doall(kBound, workloads::uniform_cost(11, 20, 400));
+  const u32 cores = std::max(1u, std::thread::hardware_concurrency());
+  for (const Strategy& s : step_sized_kinds()) {
+    for (const u32 procs : {cores, 2 * cores}) {
+      const auto want = closed_form(kBound, s, procs);
+      for (int run = 0; run < 5; ++run) {
+        SchedOptions opts;
+        opts.strategy = s;
+        opts.trace_events = true;
+        const RunResult r = run_threads(prog, procs, opts);
+        ASSERT_EQ(grant_sizes_by_first(r), want)
+            << s.name() << " P=" << procs << " run=" << run;
+      }
+    }
+  }
+}
+
 TEST(Strategy, ExhaustedIcbYieldsZero) {
   RContext ctx(0, 2);
   Icb<RContext> icb;
-  icb.init(0, 1, IndexVec{}, false);
+  icb.init(0, 1, 1, IndexVec{}, false);
   const Dispatch first = dispatch_iterations(ctx, icb, Strategy::self());
   EXPECT_EQ(first.count, 1);
   EXPECT_TRUE(first.last_scheduled);
@@ -575,8 +590,8 @@ TEST(Strategy, Names) {
   EXPECT_STREQ(Strategy::self().name(), "self(1)");
   EXPECT_STREQ(Strategy::gss().name(), "gss");
   EXPECT_STREQ(Strategy::chunked(5).name(), "chunk");
-  EXPECT_STREQ(Strategy::factoring2().name(), "factoring2");
-  EXPECT_STREQ(Strategy::trapezoid_tuned().name(), "tss2");
+  EXPECT_STREQ(Strategy::factoring().name(), "factoring");
+  EXPECT_STREQ(Strategy::trapezoid().name(), "trapezoid");
   EXPECT_STREQ(Strategy::adaptive().name(), "adaptive");
 }
 
@@ -705,7 +720,7 @@ TEST(ShardRule, VtimeAndThreadsPickTheSameShardCount) {
 TEST(Shard, IcbInitSetsCountersToShardRangesAndRecycles) {
   RContext ctx(0, 4);
   Icb<RContext> icb;
-  icb.init(0, 10, IndexVec{}, false, kMaxDepth, /*index_shards=*/4);
+  icb.init(0, 10, 10, IndexVec{}, false, kMaxDepth, /*index_shards=*/4);
   EXPECT_EQ(icb.num_shards, 4u);
   EXPECT_EQ(icb.sched_done.load(), 0);
   for (u32 g = 0; g < 4; ++g) {
@@ -716,14 +731,14 @@ TEST(Shard, IcbInitSetsCountersToShardRangesAndRecycles) {
   // Recycle into a wider split: capacity grows and every shard is re-armed
   // at its own lo.
   icb.shards[0].index.store(99);
-  icb.init(1, 20, IndexVec{}, false, kMaxDepth, /*index_shards=*/8);
+  icb.init(1, 20, 20, IndexVec{}, false, kMaxDepth, /*index_shards=*/8);
   EXPECT_EQ(icb.num_shards, 8u);
   for (u32 g = 0; g < 8; ++g) {
     EXPECT_EQ(icb.shards[g].lo, shard::shard_lo(20, 8, g));
     EXPECT_EQ(icb.shards[g].index.load(), icb.shards[g].lo);
   }
   // And back down to the flat layout: sharded state must not leak.
-  icb.init(2, 5, IndexVec{}, false);
+  icb.init(2, 5, 5, IndexVec{}, false);
   EXPECT_EQ(icb.num_shards, 1u);
   EXPECT_EQ(icb.index.load(), 1);
 }
@@ -738,7 +753,8 @@ std::vector<std::vector<i64>> sharded_drain(i64 b, u32 g_count,
                                             const Strategy& s, u32 procs) {
   RContext ctx(0, procs);
   Icb<RContext> icb;
-  icb.init(0, b, IndexVec{}, false, kMaxDepth, g_count);
+  icb.init(0, b, step_count(s, b, procs), IndexVec{}, false, kMaxDepth,
+           g_count);
   std::vector<std::vector<i64>> per_shard(g_count);
   std::set<i64> covered;
   bool saw_last = false;
@@ -775,8 +791,8 @@ std::vector<std::vector<i64>> sharded_drain(i64 b, u32 g_count,
 TEST(Shard, SingleShardMatchesFlatSequences) {
   // G=1 must be indistinguishable from the flat dispatcher: same grabs, in
   // the same order, for every strategy the flat conformance sweep covers.
-  for (const auto& s : {Strategy::gss(), Strategy::factoring2(),
-                        Strategy::trapezoid_tuned(), Strategy::chunked(5)}) {
+  for (const auto& s : {Strategy::gss(), Strategy::factoring(),
+                        Strategy::trapezoid(), Strategy::chunked(5)}) {
     const auto flat = drain(100, s, 4);
     const auto sharded = sharded_drain(100, 1, s, 4);
     EXPECT_EQ(sharded[0], flat) << s.name();
@@ -790,7 +806,7 @@ TEST(Shard, StealOrderIsHomeFirstThenRotation) {
   // 1, 2, ..., 10: firsts ascend.
   RContext ctx(0, 8);
   Icb<RContext> icb;
-  icb.init(0, 10, IndexVec{}, false, kMaxDepth, 4);
+  icb.init(0, 10, 10, IndexVec{}, false, kMaxDepth, 4);
   const Strategy s = Strategy::self();
   i64 prev_first = 0;
   u32 grabs = 0;

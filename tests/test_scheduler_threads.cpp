@@ -121,10 +121,11 @@ TEST(ThreadsScheduler, RepeatedRunsOnSameProgramObject) {
 
 TEST(ThreadsStress, IcbRecyclingAcrossTrapezoidAndDoacross) {
   // ICB recycling hazard sweep (see the happens-before contract on
-  // Icb::init): a recycled block's plain fields — trapezoid `aux`,
-  // Doacross `da_flags`, the index vector — are rewritten without atomics
-  // by the new instance's creator, relying on the release-lock/acquire-lock
-  // edge through the pool and APPEND's list-lock publish.  Built with TSan
+  // Icb::init): a recycled block's plain fields — the trapezoid step count
+  // `steps`, Doacross `da_flags`, the index vector — are rewritten without
+  // atomics by the new instance's creator, relying on the
+  // release-lock/acquire-lock edge through the pool and APPEND's list-lock
+  // publish.  Built with TSan
   // (SELFSCHED_SANITIZE=thread covers this target), these runs recycle the
   // same blocks across many instances of both flavours; auditing stays OFF
   // here so the auditor's internal mutex cannot mask a missing edge.
@@ -141,7 +142,8 @@ TEST(ThreadsStress, IcbRecyclingAcrossTrapezoidAndDoacross) {
     EXPECT_EQ(r.total.iterations, oracle) << "seed=" << seed;
   }
   // Triangular drives one ICB slot through n back-to-back trapezoid
-  // instances (each inner loop re-initializes the recycled block's aux).
+  // instances (each inner loop re-initializes the recycled block's
+  // `steps`).
   const auto tri = workloads::triangular(40, 3);
   runtime::SchedOptions tss;
   tss.strategy = runtime::Strategy::trapezoid();

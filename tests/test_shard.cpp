@@ -28,9 +28,11 @@ using runtime::RunResult;
 using runtime::SchedOptions;
 using runtime::Strategy;
 
-/// The full strategy portfolio, in Kind order, plus min-chunk GSS and
-/// factoring in slots 6 and 8 so the step recurrence's clamp is
-/// differential-tested too (the positional test names stay put).
+/// The full strategy portfolio, in Kind order, plus variants in slots 5-8
+/// (the positional test names stay put): trapezoid with automatic
+/// endpoints, min-chunk GSS, a chunk larger than most instances (one step
+/// each) and min-chunk factoring, so the step rules' clamps are
+/// differential-tested too.
 const std::vector<Strategy>& portfolio() {
   static const std::vector<Strategy> p = {
       Strategy::self(),
@@ -38,9 +40,9 @@ const std::vector<Strategy>& portfolio() {
       Strategy::gss(),
       Strategy::factoring(),
       Strategy::trapezoid(8, 2),
-      Strategy::factoring2(),
+      Strategy::trapezoid(),
       Strategy::gss(4),
-      Strategy::trapezoid_tuned(),
+      Strategy::chunked(64),
       Strategy::factoring(3),
       Strategy::adaptive(),
   };

@@ -35,7 +35,8 @@ TEST(Stress, IcbPoolConcurrentAcquireRelease) {
       std::vector<runtime::Icb<RContext>*> mine;
       for (int r = 0; r < kRounds; ++r) {
         runtime::Icb<RContext>* p = pool.acquire(ctx);
-        p->init(static_cast<LoopId>(t), 1 + r % 7, IndexVec{}, r % 3 == 0);
+        const i64 b = 1 + r % 7;
+        p->init(static_cast<LoopId>(t), b, b, IndexVec{}, r % 3 == 0);
         mine.push_back(p);
         if (mine.size() >= 4) {
           pool.release(ctx, mine.back());
@@ -92,7 +93,7 @@ TEST(Stress, TaskPoolConcurrentAppendDeleteSearchLikeTraffic) {
       RContext ctx(static_cast<ProcId>(t), kProducers + kConsumers);
       for (i64 r = 0; r < kPerProducer; ++r) {
         auto* p = icbs.acquire(ctx);
-        p->init(0, 1, IndexVec{}, false);
+        p->init(0, 1, 1, IndexVec{}, false);
         pool.append(ctx, static_cast<u32>(r % pool.num_lists()), p);
       }
     });

@@ -8,11 +8,14 @@
 #                                  # ICB-pool/bound units of
 #                                  # test_hotpath, the contended
 #                                  # bounded-grab tests of test_claim, all
-#                                  # of test_shard, the Shard-named tests
-#                                  # of test_runtime_units, test_audit and
-#                                  # test_fault, and the served
-#                                  # sharded-index / tiny-slice tests of
-#                                  # test_serve)
+#                                  # of test_shard and test_adaptive, the
+#                                  # Shard-named tests of
+#                                  # test_runtime_units, test_audit and
+#                                  # test_fault, the strategy-conformance
+#                                  # tests of test_runtime_units,
+#                                  # test_analysis and test_fault, and the
+#                                  # served sharded-index / tiny-slice
+#                                  # tests of test_serve)
 #   tools/check.sh --fast          # tier-1 only
 #   tools/check.sh --repeat        # tier-1 build, then the audit, threads,
 #                                  # stress, team, claim and shard suites
@@ -24,22 +27,15 @@
 #                                  # auditor live (SELFSCHED_AUDIT=1 env:
 #                                  # every run is audited, violations abort),
 #                                  # then an ASan build of the unit-tests
-#                                  # target (the unit tier's binaries and
-#                                  # selfsched-fuzz only), its unit tier
-#                                  # audited
+#                                  # target (the unit tier's binaries,
+#                                  # selfsched-run and selfsched-fuzz) and
+#                                  # bench_adaptive: the unit tier audited,
+#                                  # then the E16 acceptance thresholds
 #   tools/check.sh --faults        # fault-tolerance suite (test_fault +
 #                                  # cancellation-adjacent tests) under TSan,
 #                                  # then audited under ASan — the
 #                                  # cancellation/drain paths are exactly
 #                                  # where races and leaks would hide
-#   tools/check.sh --adaptive      # adaptive-scheduling conformance suite
-#                                  # (ISSUE 7): the strategy closed-form
-#                                  # oracles, the adaptive tuner tests, the
-#                                  # Eq. 7 model edge cases and the
-#                                  # stall-under-adaptation fault test under
-#                                  # TSan (the threads feedback path), then
-#                                  # audited under ASan, then the E16
-#                                  # acceptance thresholds (bench_adaptive)
 #   tools/check.sh --serve         # resident-service suite: test_serve,
 #                                  # the oversubscribed served-Doacross
 #                                  # stress (2 x nproc workers, 50 audited
@@ -77,7 +73,6 @@ AUDIT=0
 FAULTS=0
 SERVE=0
 RESILIENCE=0
-ADAPTIVE=0
 LABEL=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -88,10 +83,9 @@ while [[ $# -gt 0 ]]; do
     --faults) FAULTS=1; shift ;;
     --serve) SERVE=1; shift ;;
     --resilience) RESILIENCE=1; shift ;;
-    --adaptive) ADAPTIVE=1; shift ;;
     --label) LABEL="${2:?--label needs an argument}"; shift 2 ;;
     *) echo "usage: tools/check.sh [--fast] [--repeat] [--explore] [--audit]" \
-            "[--faults] [--serve] [--resilience] [--adaptive]" \
+            "[--faults] [--serve] [--resilience]" \
             "[--label TIER]" >&2
        exit 2 ;;
   esac
@@ -107,10 +101,6 @@ FAULT_TESTS='FaultBody|FaultInject|FaultDeadline|FaultDrain|FaultReplay|FaultHoo
 # the retry scheduler draws from.
 RESILIENCE_TESTS='ServeResilience|FaultWatchdog|Backoff|Serve\.'
 
-# The adaptive-conformance filter: the portfolio's closed-form oracle units
-# (Strategy*), the tuner suite (Adaptive*/PortfolioSweep), the completion-
-# time model edge cases, and the stall-under-adaptation fault test.
-ADAPTIVE_TESTS='Strategy|Adaptive|PortfolioSweep|CompletionModel|FaultAdaptive'
 
 # The oversubscribed served-Doacross stress: twice as many resident workers
 # as cores, so chain posters get descheduled and the waits reach
@@ -132,26 +122,15 @@ REPEAT_ROUNDS=20
 # half runs in --audit's unit tier.  Also the served sharded-index closed
 # loop and tiny-slice yields of test_serve.
 TSAN_SHARD_TESTS='*Shard*'
-TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield'
 
-if [[ "$ADAPTIVE" == 1 ]]; then
-  echo "== adaptive: TSan build, strategy-conformance suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_adaptive \
-      test_runtime_units test_analysis test_fault
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-      -R "$ADAPTIVE_TESTS")
-  echo "== adaptive: ASan build, audited conformance suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_adaptive \
-      test_runtime_units test_analysis test_fault bench_adaptive
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$ADAPTIVE_TESTS")
-  echo "== adaptive: E16 acceptance thresholds =="
-  ./build-asan/bench/bench_adaptive > /dev/null
-  echo "== OK (adaptive) =="
-  exit 0
-fi
+# The strategy-conformance tests of suites that are not strategy suites,
+# for the default TSan pass next to all of test_adaptive (the tuner, whose
+# threads feedback reads per-chunk CPU clocks): the portfolio's
+# closed-form and contended-exactness units (Strategy*), the completion-time
+# model's edge cases and the stall-under-adaptation fault test.  Their
+# audited ASan half runs in --audit's unit tier.
+TSAN_STRATEGY_TESTS='Strategy*:CompletionModel*:FaultAdaptive*'
+TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield'
 
 if [[ "$FAULTS" == 1 ]]; then
   echo "== faults: TSan build, fault-tolerance suite =="
@@ -224,9 +203,11 @@ if [[ "$AUDIT" == 1 ]]; then
       -L 'unit|explore')
   echo "== audit: ASan build, audited unit tier =="
   cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target unit-tests
+  cmake --build build-asan -j "$JOBS" --target unit-tests bench_adaptive
   (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
       -L unit)
+  echo "== audit: ASan build, E16 acceptance thresholds =="
+  ./build-asan/bench/bench_adaptive > /dev/null
   echo "== OK (audit) =="
   exit 0
 fi
@@ -264,19 +245,24 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== TSan: threaded scheduler tests + hot-path units + claim + shards =="
+echo "== TSan: threaded scheduler tests + hot-path units + claim + shards" \
+     "+ strategies =="
 cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads \
-    test_shard_policy test_hotpath test_claim test_shard test_runtime_units \
-    test_audit test_fault test_serve
+    test_shard_policy test_hotpath test_claim test_shard test_adaptive \
+    test_runtime_units test_analysis test_audit test_fault test_serve
 ./build-tsan/tests/test_scheduler_threads
 ./build-tsan/tests/test_shard_policy
 ./build-tsan/tests/test_hotpath
 ./build-tsan/tests/test_claim
 ./build-tsan/tests/test_shard
-for t in test_runtime_units test_audit test_fault; do
-  ./build-tsan/tests/$t --gtest_filter="$TSAN_SHARD_TESTS"
-done
+./build-tsan/tests/test_adaptive
+./build-tsan/tests/test_runtime_units \
+    --gtest_filter="$TSAN_SHARD_TESTS:$TSAN_STRATEGY_TESTS"
+./build-tsan/tests/test_analysis --gtest_filter="$TSAN_STRATEGY_TESTS"
+./build-tsan/tests/test_audit --gtest_filter="$TSAN_SHARD_TESTS"
+./build-tsan/tests/test_fault \
+    --gtest_filter="$TSAN_SHARD_TESTS:$TSAN_STRATEGY_TESTS"
 ./build-tsan/tests/test_serve --gtest_filter="$TSAN_SERVE_TESTS"
 
 echo "== OK =="

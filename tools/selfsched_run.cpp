@@ -6,6 +6,7 @@
 // Reads a loop nest in the mini-language (src/lang/parser.hpp), compiles it
 // to the paper's DEPTH/BOUND/DESCRPT tables, and executes it on the chosen
 // engine, printing the utilization/overhead report.
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,9 +40,9 @@ void usage(const char* argv0, std::FILE* out) {
       "                           vtime cost model (default cedar)\n"
       "\n"
       "scheduling:\n"
-      "  --strategy self|chunk:K|gss|factoring|trapezoid|factoring2|\n"
-      "             tss2|adaptive[:TAU]\n"
-      "                           low-level Doall dispatch (default self)\n"
+      "  --strategy self|chunk:K|gss|factoring|trapezoid|adaptive[:TAU]\n"
+      "                           low-level Doall dispatch (default self);\n"
+      "                           K >= 1 and TAU >= 0 are decimal integers\n"
       "  --central-queue          single-list task pool (ablation)\n"
       "\n"
       "program:\n"
@@ -104,27 +105,32 @@ bool parse_fault_point(const std::string& s, long long* loop, long long* j,
   return *end == '\0';
 }
 
+/// A whole decimal integer >= `min` that fits an i64: no sign, no
+/// whitespace, nothing after the digits.
+bool parse_int_at_least(const char* p, long long min, long long* out) {
+  if (*p < '0' || *p > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoll(p, &end, 10);
+  return errno == 0 && *end == '\0' && *out >= min;
+}
+
 bool parse_strategy(const std::string& s, runtime::Strategy* out) {
+  long long v = 0;
   if (s == "self") {
     *out = runtime::Strategy::self();
   } else if (s.rfind("chunk:", 0) == 0) {
-    const long k = std::strtol(s.c_str() + 6, nullptr, 10);
-    if (k < 1) return false;
-    *out = runtime::Strategy::chunked(k);
+    if (!parse_int_at_least(s.c_str() + 6, 1, &v)) return false;
+    *out = runtime::Strategy::chunked(v);
   } else if (s == "gss") {
     *out = runtime::Strategy::gss();
   } else if (s == "factoring") {
     *out = runtime::Strategy::factoring();
   } else if (s == "trapezoid") {
     *out = runtime::Strategy::trapezoid();
-  } else if (s == "factoring2") {
-    *out = runtime::Strategy::factoring2();
-  } else if (s == "tss2") {
-    *out = runtime::Strategy::trapezoid_tuned();
   } else if (s.rfind("adaptive:", 0) == 0) {
-    const long tau = std::strtol(s.c_str() + 9, nullptr, 10);
-    if (tau < 0) return false;
-    *out = runtime::Strategy::adaptive(tau);
+    if (!parse_int_at_least(s.c_str() + 9, 0, &v)) return false;
+    *out = runtime::Strategy::adaptive(v);
   } else if (s == "adaptive") {
     *out = runtime::Strategy::adaptive();
   } else {
