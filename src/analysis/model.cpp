@@ -45,35 +45,6 @@ i64 optimal_chunk(const UtilizationParams& p, i64 k_max,
   return best_k;
 }
 
-double chunked_completion_time(const UtilizationParams& p, u32 procs, i64 b,
-                               i64 k, double contention_slope) {
-  SS_CHECK(k >= 1 && procs >= 1 && b >= 1);
-  const double share = static_cast<double>(b) / static_cast<double>(procs);
-  const double o2_k =
-      p.o2 * (1.0 + contention_slope * static_cast<double>(k - 1));
-  const double per_iter = p.tau + p.o1 / static_cast<double>(k) +
-                          o2_k / p.n + p.o3 / p.big_n;
-  const double tail = static_cast<double>(k) * p.tau / 2.0;
-  return share * per_iter + tail;
-}
-
-i64 optimal_adaptive_chunk(const UtilizationParams& p, u32 procs, i64 b,
-                           i64 k_max, double contention_slope) {
-  if (k_max < 1) k_max = 1;
-  // A chunk can never usefully exceed the whole instance.
-  k_max = std::min(k_max, std::max<i64>(1, b));
-  i64 best_k = 1;
-  double best = chunked_completion_time(p, procs, b, 1, contention_slope);
-  for (i64 k = 2; k <= k_max; ++k) {
-    const double t = chunked_completion_time(p, procs, b, k, contention_slope);
-    if (t < best) {
-      best = t;
-      best_k = k;
-    }
-  }
-  return best_k;
-}
-
 double doacross_time(i64 b, double tau, double f, i64 k, u32 procs) {
   SS_CHECK(b >= 1 && k >= 1 && procs >= 1 && f >= 0.0 && f <= 1.0);
   const i64 chunks = (b + k - 1) / k;

@@ -71,32 +71,4 @@ double doacross_speedup(i64 b, double tau, double f, i64 k, u32 procs);
 /// S(P) = P * eta, capped by the iteration count.
 double doall_speedup(const UtilizationParams& p, u32 procs, i64 iterations);
 
-/// Completion-time extension of Eq. (7) for one Doall instance of b
-/// iterations scheduled in chunks of k on P processors.  Eq. (7) normalizes
-/// per iteration, which makes its argmax independent of τ (the O1/k and
-/// O2(k)·k/n terms trade off among themselves) — useless as an online
-/// tuning target, because measuring τ would never move the answer.  The
-/// completion-time form keeps Eq. (7)'s per-iteration overheads but adds
-/// the quantity chunking actually risks: tail imbalance.  The last chunk
-/// straggles past the pack by up to k·τ; in expectation half of that:
-///
-///   T(k) = (b/P) · (τ + O1/k + O2(k)/n + O3/N)  +  k·τ/2
-///
-/// With O2(k) = o2·(1 + slope·(k-1)) the continuous argmin sits near
-/// k* = sqrt(2·b·O1 / (P·τ·(1 + ...))) — now ∝ 1/sqrt(τ), so per-chunk
-/// timing feedback (a τ estimate) meaningfully retunes k: expensive bodies
-/// push chunks down (imbalance dominates), cheap bodies push them up (sync
-/// amortization dominates).  This is the objective the kAdaptive strategy
-/// seeds from and re-minimizes on every chunk completion.
-double chunked_completion_time(const UtilizationParams& p, u32 procs, i64 b,
-                               i64 k, double contention_slope);
-
-/// argmin over k in [1, k_max] of chunked_completion_time (exhaustive —
-/// the integer curve is cheap and the clamp interactions are not provably
-/// unimodal).  k_max <= 0 is treated as 1.  Total evaluation cost is
-/// bounded by the caller capping k_max (the runtime uses
-/// runtime::kAdaptiveChunkCap).
-i64 optimal_adaptive_chunk(const UtilizationParams& p, u32 procs, i64 b,
-                           i64 k_max, double contention_slope);
-
 }  // namespace selfsched::analysis

@@ -23,6 +23,13 @@
 
 namespace selfsched::runtime {
 
+/// BAR_COUNT hash-table buckets.
+inline constexpr u32 kBarBuckets = 256;
+
+/// Backoff cap, in pause cycles, for pool-idle spinning (SEARCH, stalls and
+/// the teardown wait on pcount).
+inline constexpr Cycles kIdleBackoffMax = 1024;
+
 /// Shared state of one scheduled program execution.
 template <exec::ExecutionContext C>
 struct SchedState {
@@ -30,7 +37,7 @@ struct SchedState {
       : prog(&p),
         opts(o),
         pool(o.central_queue ? 1u : p.num_loops()),
-        bars(o.bar_buckets) {
+        bars(kBarBuckets) {
     outstanding.reset(0);
     done.reset(0);
     cancel.claim.reset(0);
@@ -678,7 +685,7 @@ SearchOutcome search_until(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
     cursor.search_origin = (i + 1) % m;
     if (cursor.last_list == i) cursor.last_list = WorkerCursor<C>::kNoList;
   };
-  sync::Backoff backoff(1, st.opts.idle_backoff_max);
+  sync::Backoff backoff(1, kIdleBackoffMax);
   for (;;) {
     if (ctx.sync_op(st.done, Test::kNE, 0, Op::kFetch).success) {
       trace::event_end(ctx, ts, trace::EventKind::kSearch, kNoLoop, 0, -1,

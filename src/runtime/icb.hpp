@@ -16,8 +16,6 @@
 //                               self a step is one iteration)
 //   icount      (icount)        completed-iteration counter, starts at 0
 //   pcount      (pcount)        processors attached to this ICB
-//   adapt/adapt_tau             adaptive-strategy tuned chunk + body-time
-//                               EWMA (extension slots)
 //   da_flags                    Doacross post flags, one per iteration
 //   shards/sched_done           sharded low-level index — per-shard counters
 //                               plus the drained-shard election (extension;
@@ -57,7 +55,7 @@ struct Icb {
   LoopId loop = kNoLoop;
   i64 bound = 0;
   /// Dispatch steps that drain this instance, runtime::step_count of its
-  /// strategy (bound under self and adaptive).  Plain, like bound.
+  /// strategy (bound under self).  Plain, like bound.
   i64 steps = 0;
   /// Nesting depth of `loop` — the meaningful prefix of `ivec` (entries past
   /// it are stale scratch from the activator's cursor).  Lets diagnostics
@@ -75,13 +73,6 @@ struct Icb {
   typename C::Sync index;
   typename C::Sync icount;
   typename C::Sync pcount;
-  /// Adaptive-strategy state (extension slots): current tuned chunk size
-  /// (0 = unseeded; the first dispatcher runs a seeding election) and the
-  /// EWMA per-iteration body-time estimate in engine ticks.  Advisory
-  /// only — iteration ownership always comes from `index`.
-  typename C::Sync adapt;
-  typename C::Sync adapt_tau;
-
   std::unique_ptr<typename C::Sync[]> da_flags;
   i64 da_flags_cap = 0;
 
@@ -131,8 +122,6 @@ struct Icb {
     index.reset(1);
     icount.reset(0);
     pcount.reset(0);
-    adapt.reset(0);
-    adapt_tau.reset(0);
     num_shards = index_shards;
     sched_done.reset(0);
     if (index_shards > 1) {

@@ -41,10 +41,6 @@ struct SchedOptions {
   /// Virtual-time engine: the simulated machine's cost model.
   vtime::CostModel costs = vtime::CostModel::cedar();
 
-  /// Virtual-time engine: record the serialized op trace (determinism
-  /// tests; memory-heavy).
-  bool trace = false;
-
   /// Virtual-time engine: tie-break schedule controller (schedule
   /// exploration).  The default kCanonical spec preserves today's strict
   /// (time, id) grant order bit-for-bit; kSeededShuffle / kPct explore
@@ -96,9 +92,6 @@ struct SchedOptions {
   /// violations back after it.  Not owned.
   audit::Auditor* audit_sink = nullptr;
 
-  /// BAR_COUNT hash-table buckets.
-  u32 bar_buckets = 256;
-
   /// Baseline ablation: collapse the task pool to a single list under a
   /// single lock (the serial bottleneck the paper's m parallel linked
   /// lists avoid, §III-A).
@@ -137,18 +130,6 @@ struct SchedOptions {
   /// (loop, ivec, worker) points.  Not owned; FaultPlan::reset() re-arms it
   /// between runs.
   fault::FaultPlan* fault_plan = nullptr;
-
-  /// Backoff cap, in pause cycles, for pool-idle spinning.
-  Cycles idle_backoff_max = 1024;
-
-  /// Backoff cap for Doacross post/wait spinning.  Kept tight: the wait
-  /// duration is the pipeline advance f*tau, and every cycle of overshoot
-  /// stretches the whole chain — SDSS's point is to keep successive
-  /// iterations starting with the shortest possible delay.  The cap sets
-  /// only how often a waiter polls; when it gives up its core is the
-  /// per-wait spin budget of runtime::ctx_pause, so served namespaces keep
-  /// this cap too.
-  Cycles doacross_backoff_max = 16;
 };
 
 }  // namespace selfsched::runtime

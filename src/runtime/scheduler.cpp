@@ -17,7 +17,7 @@ namespace selfsched::runtime {
 RunResult run_vtime(const program::NestedLoopProgram& prog, u32 procs,
                     const SchedOptions& opts) {
   ProgramRun<vtime::VContext> run(prog.tables(), opts, procs);
-  vtime::Engine engine(procs, opts.trace);
+  vtime::Engine engine(procs);
   const std::unique_ptr<vtime::ScheduleController> ctrl =
       vtime::make_controller(opts.schedule, procs);
   engine.set_schedule_controller(ctrl.get());

@@ -74,6 +74,15 @@ void run_body(C& ctx, const SchedState<C>& st,
   }
 }
 
+/// Backoff cap, in pause cycles, for Doacross post/wait spinning.  Kept
+/// tight: the wait duration is the pipeline advance f*tau, and every cycle
+/// of overshoot stretches the whole chain — SDSS's point is to keep
+/// successive iterations starting with the shortest possible delay.  The
+/// cap sets only how often a waiter polls; when it gives up its core is the
+/// per-wait spin budget of runtime::ctx_pause, so served namespaces keep
+/// this cap too.
+inline constexpr Cycles kDoacrossBackoffMax = 16;
+
 /// One Doacross iteration: wait for the dependence source of iteration
 /// j-distance, run the head segment, post, run the tail segment.  The
 /// post-wait polls `done` once per spin round (never on the no-spin fast
@@ -88,7 +97,7 @@ void run_doacross_iteration(C& ctx, SchedState<C>& st,
     if (j - dist < 1) return;
     const Cycles tw = trace::event_begin(ctx);
     exec::PhaseScope<C> wait(ctx, exec::Phase::kDoacrossWait);
-    sync::Backoff backoff(1, st.opts.doacross_backoff_max);
+    sync::Backoff backoff(1, kDoacrossBackoffMax);
     typename C::Sync& flag = icb.da_flags[j - dist];
     while (!ctx.sync_op(flag, Test::kEQ, 1, Op::kFetch).success) {
       deadline_check(ctx, st);
@@ -141,7 +150,7 @@ void stall_worker(C& ctx, SchedState<C>& st, const fault::FaultSpec& f,
                          loop, ivec, depth, j, "injected worker stall",
                          nullptr);
   }
-  sync::Backoff backoff(1, st.opts.idle_backoff_max);
+  sync::Backoff backoff(1, kIdleBackoffMax);
   for (;;) {
     deadline_check(ctx, st);
     if (cancel_requested(ctx, st)) throw fault::Cancelled{};
@@ -189,7 +198,7 @@ bool complete_instance(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor) {
   }
   const Cycles tt = trace::event_begin(ctx);
   exec::PhaseScope<C> phase(ctx, exec::Phase::kTeardown);
-  sync::Backoff backoff(1, st.opts.idle_backoff_max);
+  sync::Backoff backoff(1, kIdleBackoffMax);
   bool released = true;
   while (!ctx.sync_op(cursor.ip->pcount, Test::kEQ, 1, Op::kDecrement)
               .success) {
@@ -277,17 +286,16 @@ enum class GrantStop : u32 {
 /// instance.  Per grant it keeps, in this order: the yield check, the
 /// cancel point, the claim with its dispatch hooks (and DELETE when the
 /// grant is the instance's last), the body with its abort and fault
-/// checks, the `kChunk` event, adaptive feedback, and the update: vtime's
-/// per-chunk publish and the watchdog's progress mark.  The [[unlikely]]
-/// exits keep the steady state (one claim, one body) laid out as straight
-/// code; without them GCC places the rare branches on the hot path.
+/// checks, the `kChunk` event, and the update: vtime's per-chunk publish
+/// and the watchdog's progress mark.  The [[unlikely]] exits keep the
+/// steady state (one claim, one body) laid out as straight code; without
+/// them GCC places the rare branches on the hot path.
 template <exec::ExecutionContext C, typename YieldFn>
 GrantStop run_grants(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
                      i64& pending, YieldFn& should_yield) {
   const program::InnermostDesc& d = st.prog->loops[cursor.i];
   const Strategy& strat =
       d.doacross ? st.opts.doacross_strategy : st.opts.strategy;
-  const bool adaptive = strat.kind == Strategy::Kind::kAdaptive;
   Icb<C>& icb = *cursor.ip;
   const u32 home =
       icb.num_shards > 1
@@ -325,17 +333,6 @@ GrantStop run_grants(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
     }
 
     // --- body: execute the grabbed iterations, containing failures ---
-    // Adaptive tuning horizon: measure and retune only while the chunk
-    // starts in the first half of the iteration space.  Early chunks carry
-    // all the signal (the seed is a prior, the first measurements correct
-    // it); late chunks measure tail stragglers, and freezing the second
-    // half makes the steady-state dispatch path exactly as cheap as a
-    // static chunker's — no clock reads, no feedback sync ops.  The window
-    // assumes the flat [1, b] layout; index_shards_for never shards
-    // `adaptive`, so that is the only layout it sees.
-    const bool tuning = adaptive && grab.first <= (cursor.b + 1) / 2;
-    Cycles chunk_t0 = 0;
-    if (tuning) chunk_t0 = adaptive_clock(ctx);
     bool aborted = false;
     const Cycles tb = trace::event_begin(ctx);
     i64 j = grab.first;
@@ -381,15 +378,6 @@ GrantStop run_grants(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
     }
     trace::event_end(ctx, tb, trace::EventKind::kChunk, cursor.i, ihash,
                      grab.first, grab.count);
-    if (tuning && !aborted) {
-      // Fold this chunk's measured duration into the instance's tau
-      // estimate and retune its chunk size before we (or anyone) grab
-      // again.  Aborted chunks are skipped: their timings include
-      // stall/cancel wreckage.
-      exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      adaptive_feedback(ctx, icb, strat, grab.count,
-                        adaptive_clock(ctx) - chunk_t0);
-    }
     // The abandoned grab never reaches icount (this worker's earlier
     // chunks still do): the instance can no longer complete, so the
     // post-join drain reclaims it.  Leave it and head for the exit through

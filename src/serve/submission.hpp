@@ -68,8 +68,8 @@ struct SubmitOptions {
   /// Per-tenant low-level dispatch strategy override.  When set it replaces
   /// sched.strategy (Doall dispatch only; sched.doacross_strategy is
   /// untouched — chunking a Doacross is a correctness-adjacent choice the
-  /// tenant must make explicitly).  Lets one tenant run kAdaptive while a
-  /// latency-sensitive neighbor pins a static schedule.
+  /// tenant must make explicitly).  Lets one tenant run factoring while a
+  /// latency-sensitive neighbor pins chunk:k.
   std::optional<runtime::Strategy> strategy;
   /// Per-tenant recovery policy override; unset = the service default
   /// (ServeOptions::resilience).  The arrival's effective policy governs

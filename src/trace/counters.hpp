@@ -42,11 +42,6 @@ namespace selfsched::trace {
   X(serve_rejections)       /* submissions refused by admission control */    \
   X(serve_preemptions)      /* worker slices ended by the slice budget        \
                                (SessionExit::kYield), not by completion */    \
-  X(adapt_seeds)            /* adaptive-strategy seeding elections won        \
-                               (one per kAdaptive instance) */                \
-  X(adapt_feedbacks)        /* per-chunk timing samples folded into an        \
-                               instance's body-time EWMA */                   \
-  X(adapt_retunes)          /* feedbacks that moved the tuned chunk size */   \
   X(shard_grants)           /* successful grabs from a sharded index          \
                                (subset of dispatches; 0 on the flat path) */  \
   X(shard_steals)           /* shard grants taken from a non-home shard       \

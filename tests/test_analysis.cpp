@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "analysis/model.hpp"
-#include "runtime/strategy.hpp"
 
 namespace selfsched::analysis {
 namespace {
@@ -119,108 +118,6 @@ TEST(Model, DoallSpeedupCappedByIterations) {
   p.tau = 1000;
   EXPECT_DOUBLE_EQ(doall_speedup(p, 64, 16), 16.0);
   EXPECT_NEAR(doall_speedup(p, 8, 1 << 20), 8.0, 1e-9);
-}
-
-// ------------------------------------------- adaptive completion model --
-
-TEST(CompletionModel, SingleProcessorPrefersLargeChunks) {
-  // P=1 has no tail imbalance rivals: the k·τ/2 straggle term is the only
-  // brake, so cheap bodies push the optimum to (or near) k_max.
-  UtilizationParams p;
-  p.tau = 1;
-  p.o1 = 100;
-  p.o2 = 50;
-  p.n = 1000;
-  p.big_n = 1000;
-  const i64 k = optimal_adaptive_chunk(p, 1, 1000, 64, 0.25);
-  EXPECT_GE(k, 32) << "cheap bodies must amortize O1 aggressively";
-}
-
-TEST(CompletionModel, BoundSmallerThanProcs) {
-  // b < P: each worker sees at most one iteration; the argmin must stay
-  // legal (k in [1, b]) and in this regime pick k = 1.
-  UtilizationParams p;
-  p.tau = 100;
-  p.o1 = 20;
-  p.o2 = 60;
-  p.n = 1;
-  p.big_n = 4;
-  const i64 k = optimal_adaptive_chunk(p, 8, 4, 1024, 0.25);
-  EXPECT_GE(k, 1);
-  EXPECT_LE(k, 4) << "chunk larger than the whole instance is useless";
-  EXPECT_EQ(k, 1) << "with one iteration per worker the tail term wins";
-}
-
-TEST(CompletionModel, ZeroCostBodiesMaximizeChunk) {
-  // τ = 0 removes both the useful-work and the imbalance terms: only the
-  // per-dispatch O1/k survives, so the optimum is exactly k_max.
-  UtilizationParams p;
-  p.tau = 0;
-  p.o1 = 20;
-  p.o2 = 0;  // and no contention growth
-  p.n = 100;
-  p.big_n = 800;
-  EXPECT_EQ(optimal_adaptive_chunk(p, 8, 800, 100, 0.0), 100);
-}
-
-TEST(CompletionModel, ExpensiveBodiesShrinkChunk) {
-  // k* ∝ 1/sqrt(τ): multiplying τ by 100 must cut the optimum decisively —
-  // this is the property that makes timing feedback meaningful (Eq. 7's
-  // per-iteration argmax is τ-independent and would never move).
-  UtilizationParams cheap;
-  cheap.tau = 10;
-  cheap.o1 = 24;
-  cheap.o2 = 60;
-  cheap.n = 100;
-  cheap.big_n = 800;
-  UtilizationParams dear = cheap;
-  dear.tau = 1000;
-  const i64 k_cheap = optimal_adaptive_chunk(cheap, 8, 800, 1024, 0.25);
-  const i64 k_dear = optimal_adaptive_chunk(dear, 8, 800, 1024, 0.25);
-  EXPECT_GT(k_cheap, 2 * k_dear);
-}
-
-TEST(CompletionModel, OverflowAdjacentBoundsStayFinite) {
-  // Bounds near the i64 edge must not overflow the argmin or the time
-  // evaluation (everything is double past the k clamp).
-  UtilizationParams p;
-  p.tau = 100;
-  p.o1 = 24;
-  p.o2 = 60;
-  p.n = 1e12;
-  p.big_n = 1e15;
-  const i64 huge = i64{1} << 62;
-  const i64 k = optimal_adaptive_chunk(p, 1u << 16, huge, 1024, 0.25);
-  EXPECT_GE(k, 1);
-  EXPECT_LE(k, 1024);
-  const double t = chunked_completion_time(p, 1u << 16, huge, k, 0.25);
-  EXPECT_TRUE(std::isfinite(t));
-  // Degenerate k_max values are treated as 1, never UB.
-  EXPECT_EQ(optimal_adaptive_chunk(p, 4, 100, 0, 0.25), 1);
-  EXPECT_EQ(optimal_adaptive_chunk(p, 4, 100, -5, 0.25), 1);
-}
-
-TEST(CompletionModel, AdaptiveSeedChunkMatchesModelExactly) {
-  // The runtime's seed helper is a thin clamp around the model argmin: for
-  // parameters inside the clamps the two must agree exactly.
-  const double tau = 100, o1 = 24, o2 = 60;
-  const i64 b = 800;
-  const u32 procs = 8;
-  UtilizationParams p;
-  p.tau = tau;
-  p.o1 = o1;
-  p.o2 = o2;
-  p.n = static_cast<double>(b) / procs;
-  p.big_n = static_cast<double>(b);
-  const i64 k_model = optimal_adaptive_chunk(p, procs, b, b / procs, 0.25);
-  EXPECT_EQ(runtime::adaptive_chunk_for(tau, o1, o2, b, procs), k_model);
-  // And the clamps do their job on both ends.
-  EXPECT_EQ(runtime::adaptive_chunk_for(tau, o1, o2, b, procs,
-                                        /*min_chunk=*/k_model + 5),
-            k_model + 5);
-  EXPECT_EQ(runtime::adaptive_chunk_for(tau, o1, o2, b, procs, 1,
-                                        /*max_chunk=*/1),
-            1);
 }
 
 TEST(Model, CustomO2Function) {

@@ -29,14 +29,14 @@ u32 team_size() {
 }
 
 /// Every strategy kind, with min-chunk GSS and factoring for the clamp of
-/// the step recurrence and both trapezoid endpoint rules.
+/// the step recurrence and the trapezoid endpoint rules.
 const std::vector<Strategy>& every_kind() {
   static const std::vector<Strategy> p = {
       Strategy::self(),          Strategy::chunked(3),
       Strategy::gss(),           Strategy::gss(4),
       Strategy::factoring(),     Strategy::factoring(3),
       Strategy::trapezoid(8, 2), Strategy::trapezoid(),
-      Strategy::adaptive(),
+      Strategy::trapezoid(0, 4),
   };
   return p;
 }
@@ -272,13 +272,11 @@ TEST(Claim, VtimeDispatchIssuesNoEqualityGrab) {
 }
 
 TEST(Claim, VtimeFlatGrabIsOneSyncOp) {
-  // The step number is the grab: a flat grab under every kind but adaptive
-  // (whose first grab runs the seeding election) is one ctx_claim on the
-  // step counter.  A P = 1 drain issues exactly one sync op per attempt,
-  // the failing one after the last step included.
+  // The step number is the grab: a flat grab under every kind is one
+  // ctx_claim on the step counter.  A P = 1 drain issues exactly one sync
+  // op per attempt, the failing one after the last step included.
   constexpr i64 kBound = 1000;
   for (const Strategy& s : every_kind()) {
-    if (s.kind == Strategy::Kind::kAdaptive) continue;
     SCOPED_TRACE(::testing::Message() << s.name() << " chunk=" << s.chunk);
     vtime::Engine engine(1);
     Icb<vtime::VContext> icb;

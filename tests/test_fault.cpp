@@ -482,66 +482,6 @@ TEST(FaultReplay, FailureRecordAndTraceReplayBitIdentically) {
   }
 }
 
-TEST(FaultAdaptive, StallPerturbsTimingsButRunCompletesAndReplays) {
-  // An armed finite worker_stall lands inside a timed chunk window, so the
-  // adaptive tuner observes an inflated tau and retunes off it.  The run
-  // must still complete the full iteration set, and — because the stall,
-  // the timings, and the retune all flow through the deterministic engine —
-  // a replay of the armed run must be bit-identical, trace and trajectory
-  // included.
-  const auto prog = workloads::flat_doall(400, nullptr);
-
-  auto run_armed = [&](bool record, const RunResult* recorded) {
-    FaultPlan plan;
-    plan.worker_stall(/*loop=*/0, /*iteration=*/9, /*cycles=*/50000);
-    SchedOptions opts;
-    opts.strategy = runtime::Strategy::adaptive();
-    opts.fault_plan = &plan;
-    opts.trace_events = true;
-    opts.schedule.kind = ControllerKind::kSeededShuffle;
-    opts.schedule.seed = 77;
-    opts.schedule.jitter = 2;
-    opts.record_schedule = record;
-    if (recorded) {
-      opts.schedule = vtime::replay_of(opts.schedule);
-      opts.schedule.decisions = recorded->schedule_decisions;
-    }
-    const RunResult r = runtime::run_vtime(prog, 4, opts);
-    EXPECT_EQ(plan.total_fired(), 1u);
-    return r;
-  };
-
-  SchedOptions plain;
-  plain.strategy = runtime::Strategy::adaptive();
-  const RunResult base = runtime::run_vtime(prog, 4, plain);
-  const RunResult armed = run_armed(/*record=*/true, nullptr);
-
-  EXPECT_FALSE(armed.failure.has_value()) << "finite stall must complete";
-  EXPECT_EQ(armed.total.iterations, base.total.iterations);
-  EXPECT_GT(armed.makespan, base.makespan) << "the stall must cost time";
-  EXPECT_GE(armed.counters.adapt_feedbacks, 1u);
-
-  const RunResult replayed = run_armed(/*record=*/false, &armed);
-  EXPECT_FALSE(replayed.schedule_diverged);
-  EXPECT_EQ(armed.makespan, replayed.makespan);
-  EXPECT_EQ(armed.engine_ops, replayed.engine_ops);
-  EXPECT_EQ(armed.counters.adapt_seeds, replayed.counters.adapt_seeds);
-  EXPECT_EQ(armed.counters.adapt_feedbacks,
-            replayed.counters.adapt_feedbacks);
-  EXPECT_EQ(armed.counters.adapt_retunes, replayed.counters.adapt_retunes);
-  ASSERT_EQ(armed.trace_events.size(), replayed.trace_events.size());
-  for (std::size_t k = 0; k < armed.trace_events.size(); ++k) {
-    const trace::TraceEvent& ea = armed.trace_events[k];
-    const trace::TraceEvent& eb = replayed.trace_events[k];
-    EXPECT_EQ(ea.worker, eb.worker);
-    EXPECT_EQ(ea.kind, eb.kind);
-    EXPECT_EQ(ea.first, eb.first);
-    EXPECT_EQ(ea.count, eb.count);
-    EXPECT_EQ(ea.start, eb.start);
-    EXPECT_EQ(ea.end, eb.end);
-  }
-}
-
 // --------------------------------------------------------------- compile-out
 
 /// A context without the instrumentation accessors.  It exposes a live

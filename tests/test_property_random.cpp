@@ -15,13 +15,12 @@ using selfsched::testing::Recorder;
 using selfsched::testing::normalized;
 
 runtime::Strategy strategy_for_seed(u64 seed) {
-  switch (seed % 6) {
+  switch (seed % 5) {
     case 0: return runtime::Strategy::self();
     case 1: return runtime::Strategy::chunked(static_cast<i64>(seed % 7) + 2);
     case 2: return runtime::Strategy::gss();
     case 3: return runtime::Strategy::factoring();
-    case 4: return runtime::Strategy::trapezoid();
-    default: return runtime::Strategy::adaptive();
+    default: return runtime::Strategy::trapezoid();
   }
 }
 

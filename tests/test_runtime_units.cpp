@@ -20,6 +20,7 @@
 #include "runtime/stats.hpp"
 #include "runtime/strategy.hpp"
 #include "runtime/task_pool.hpp"
+#include "runtime/verify.hpp"
 #include "vtime/context.hpp"
 #include "vtime/engine.hpp"
 #include "workloads/iteration_cost.hpp"
@@ -384,15 +385,6 @@ std::vector<i64> closed_form(i64 b, const Strategy& s, u32 procs) {
         want = std::max(s.tss_last, first - n * delta);
         break;
       }
-      case Strategy::Kind::kAdaptive:
-        // No feedback flows through drain() (it calls only the dispatcher),
-        // so the chunk stays pinned at the threaded-engine seed.
-        want = runtime::adaptive_chunk_for(
-            static_cast<double>(s.adapt_tau > 0 ? s.adapt_tau
-                                                : runtime::kAdaptiveDefaultTau),
-            runtime::kAdaptiveThreadO1, runtime::kAdaptiveThreadO2, b, procs,
-            s.chunk, s.adapt_max);
-        break;
     }
     out.push_back(std::min(want, remaining));
     index += want;
@@ -458,20 +450,6 @@ TEST(Strategy, TrapezoidBoundSmallerThanLastChunk) {
             (std::vector<i64>{1, 1, 1}));
 }
 
-TEST(Strategy, AdaptiveConstantChunkWithoutFeedback) {
-  // drain() never feeds timings back, so every grab uses the seed chunk —
-  // which must be exactly the analysis-model optimum for the threaded
-  // engine's calibrated overheads.
-  const i64 k0 = runtime::adaptive_chunk_for(
-      runtime::kAdaptiveDefaultTau, runtime::kAdaptiveThreadO1,
-      runtime::kAdaptiveThreadO2, 1000, 4);
-  EXPECT_GE(k0, 1);
-  const auto sizes = drain(1000, Strategy::adaptive(), 4);
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    EXPECT_EQ(sizes[i], k0) << "unfed adaptive chunk drifted";
-  }
-}
-
 TEST(Strategy, AllKindsMatchClosedFormAndCoverBound) {
   // Sweep every strategy kind across bounds and processor counts: the
   // dispatched sequence must equal the analytic sequence grab for grab and
@@ -483,8 +461,6 @@ TEST(Strategy, AllKindsMatchClosedFormAndCoverBound) {
       Strategy::factoring(),     Strategy::factoring(3),
       Strategy::trapezoid(16, 2), Strategy::trapezoid(0, 1),
       Strategy::trapezoid(8, 1),  Strategy::trapezoid(0, 5),
-      Strategy::adaptive(),
-      Strategy::adaptive(10, 2, 64),
   };
   for (const i64 b : {1, 7, 64, 100, 333, 1000}) {
     for (const u32 procs : {1u, 2u, 4u, 8u}) {
@@ -575,6 +551,43 @@ TEST(Strategy, ContendedThreadsRunsGrantTheSerialSequence) {
   }
 }
 
+// The step-sized portfolio swept across seeded-shuffle schedules with the
+// invariant auditor shadowing each run: the parallel iteration multiset
+// must equal the serial oracle and the auditor must stay silent.  Slots 0,
+// 2 and 4 held deleted kinds (batched factoring, tuned trapezoid and the
+// online-tuned adaptive); min-chunk factoring, explicit-endpoint trapezoid
+// and min-chunk GSS keep the positional test names.
+class PortfolioSweep : public ::testing::TestWithParam<u32> {};
+
+TEST_P(PortfolioSweep, PreservesIterationSetAndAuditConservation) {
+  const std::vector<Strategy> portfolio = {
+      Strategy::factoring(3),
+      Strategy::gss(),
+      Strategy::trapezoid(8, 2),
+      Strategy::factoring(),
+      Strategy::gss(4),
+  };
+  const Strategy s = portfolio[GetParam()];
+  for (const u64 seed : {3ULL, 17ULL}) {
+    SchedOptions opts;
+    opts.strategy = s;
+    opts.audit = true;  // audit_abort=true: violations fail loudly
+    ScheduleSweep sweep;
+    sweep.schedules = 4;
+    sweep.base_seed = 21;
+    const ProgramBuilder build = [seed](const program::BodyFactory& bodies) {
+      return workloads::random_program(seed, workloads::RandomProgramConfig{},
+                                       bodies);
+    };
+    const auto d = differential_check(build, /*procs=*/4, EngineKind::kVtime,
+                                      opts, sweep);
+    EXPECT_TRUE(d.ok) << s.name() << " seed=" << seed << ": " << d.detail;
+    EXPECT_EQ(d.schedules_run, 4u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNewKinds, PortfolioSweep, ::testing::Range(0u, 5u));
+
 TEST(Strategy, ExhaustedIcbYieldsZero) {
   RContext ctx(0, 2);
   Icb<RContext> icb;
@@ -592,7 +605,6 @@ TEST(Strategy, Names) {
   EXPECT_STREQ(Strategy::chunked(5).name(), "chunk");
   EXPECT_STREQ(Strategy::factoring().name(), "factoring");
   EXPECT_STREQ(Strategy::trapezoid().name(), "trapezoid");
-  EXPECT_STREQ(Strategy::adaptive().name(), "adaptive");
 }
 
 // ------------------------------------------------------------- shard math --
@@ -700,7 +712,7 @@ TEST(ShardRule, VtimeAndThreadsPickTheSameShardCount) {
       {Strategy::self(), true, kMin * 4, 4, 1},
       {Strategy::self(), false, kMin * 64, 72, 64},
       {Strategy::self(), false, kMin * 64 - 1, 72, 1},
-      {Strategy::adaptive(), false, 1 << 16, 4, 1},
+      {Strategy::factoring(), false, 1 << 16, 4, 1},
       {Strategy::chunked(4), false, 1 << 16, 4, 1},
       {Strategy::gss(), false, 1 << 16, 4, 1},
   };

@@ -28,11 +28,12 @@ using runtime::RunResult;
 using runtime::SchedOptions;
 using runtime::Strategy;
 
-/// The full strategy portfolio, in Kind order, plus variants in slots 5-8
+/// The full strategy portfolio, in Kind order, plus variants in slots 5-9
 /// (the positional test names stay put): trapezoid with automatic
 /// endpoints, min-chunk GSS, a chunk larger than most instances (one step
-/// each) and min-chunk factoring, so the step rules' clamps are
-/// differential-tested too.
+/// each), min-chunk factoring and trapezoid with an automatic first chunk
+/// over a floor of 4, so the step rules' clamps are differential-tested
+/// too.
 const std::vector<Strategy>& portfolio() {
   static const std::vector<Strategy> p = {
       Strategy::self(),
@@ -44,7 +45,7 @@ const std::vector<Strategy>& portfolio() {
       Strategy::gss(4),
       Strategy::chunked(64),
       Strategy::factoring(3),
-      Strategy::adaptive(),
+      Strategy::trapezoid(0, 4),
   };
   return p;
 }

@@ -82,8 +82,6 @@ TEST(ThreadsShardPolicy, SmallDoacrossAndOtherStrategiesKeepOneIndex) {
               kLargeFlat, "GSS");
   expect_flat(large_flat(), with_strategy(runtime::Strategy::chunked(4)),
               kLargeFlat, "chunk:4");
-  expect_flat(large_flat(), with_strategy(runtime::Strategy::adaptive()),
-              kLargeFlat, "adaptive");
 }
 
 TEST(ThreadsShardPolicy, GrantLoopGrantsEveryIterationExactlyOnce) {

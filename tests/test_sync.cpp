@@ -367,7 +367,7 @@ TEST(Backoff, ResetRestartsFromTheInitialValueEveryTime) {
 }
 
 TEST(Backoff, CapAtOrBelowInitialPinsTheSequence) {
-  // The Doacross wait uses a tight cap (doacross_backoff_max); a cap equal
+  // The Doacross wait uses a tight cap (kDoacrossBackoffMax); a cap equal
   // to the initial value must degenerate to a constant pause, not zero.
   Backoff b(16, 16);
   EXPECT_EQ(b.next(), 16);

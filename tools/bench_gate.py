@@ -1,14 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark regression gate.
 
-Runs the SEARCH-scalability bench and the E16 adaptive-strategy bench
-(virtual-time: deterministic, exact, host-independent) plus the
-real-hardware benches — E8 overheads, E11 hook overhead, E15 serve
-(informational only: wall-clock, noisy) — and compares the gated metrics
-against the committed baselines (BENCH_search.json, BENCH_adaptive.json).
-bench_adaptive additionally enforces its own acceptance thresholds; a
-violation fails the gate even when every baseline delta is within
-tolerance.
+Runs the SEARCH-scalability bench (virtual-time: deterministic, exact,
+host-independent) plus the real-hardware benches — E8 overheads, E11 hook
+overhead, E15 serve (informational only: wall-clock, noisy) — and compares
+the gated metrics against the committed baseline (BENCH_search.json).
 
   tools/bench_gate.py                         # run, write, compare
   tools/bench_gate.py --update-baseline       # refresh the baseline
@@ -39,28 +35,6 @@ def run_search_bench(build_dir, max_procs, tmp_path):
         data = json.load(f)
     os.unlink(tmp_path)
     return data["metrics"]
-
-
-def run_adaptive_bench(build_dir, tmp_path):
-    """E16 adaptive-vs-static portfolio sweeps (bench_adaptive): vtime,
-    deterministic, gated against BENCH_adaptive.json.  The bench enforces
-    its own acceptance thresholds (within 10% of best static, >=1.3x over
-    worst, bit-identical replay) and exits nonzero on violation — surface
-    that as a gate failure, not just a baseline delta."""
-    exe = os.path.join(build_dir, "bench", "bench_adaptive")
-    if not os.path.exists(exe):
-        sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
-    proc = subprocess.run([exe, "--json", tmp_path],
-                          capture_output=True, text=True)
-    accept_ok = proc.returncode == 0
-    if not accept_ok:
-        for line in proc.stdout.splitlines():
-            if "ACCEPTANCE FAIL" in line:
-                print(f"bench_gate: {line}")
-    with open(tmp_path) as f:
-        data = json.load(f)
-    os.unlink(tmp_path)
-    return data["metrics"], accept_ok
 
 
 def run_overhead_bench(build_dir):
@@ -247,8 +221,6 @@ def main():
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--baseline", default="BENCH_search.json",
                     help="committed baseline to compare against")
-    ap.add_argument("--adaptive-baseline", default="BENCH_adaptive.json",
-                    help="committed baseline for the E16 adaptive bench")
     ap.add_argument("--out", default=None,
                     help="write the fresh results here "
                          "(default: BENCH_search.new.json)")
@@ -270,9 +242,6 @@ def main():
     metrics = run_search_bench(args.build_dir, args.max_procs,
                                os.path.join(args.build_dir,
                                             "bench_search_tmp.json"))
-    ad_metrics, ad_accept_ok = run_adaptive_bench(
-        args.build_dir,
-        os.path.join(args.build_dir, "bench_adaptive_tmp.json"))
     if not args.skip_gbench:
         metrics += run_overhead_bench(args.build_dir)
         metrics += run_hook_overhead_bench(args.build_dir)
@@ -282,24 +251,19 @@ def main():
 
     current = {"schema": SCHEMA, "max_procs": args.max_procs,
                "metrics": metrics}
-    # The adaptive bench always sweeps at P=8, independent of --max-procs.
-    ad_current = {"schema": SCHEMA, "max_procs": 8, "metrics": ad_metrics}
 
     if args.update_baseline:
-        # The committed baselines must be machine-independent: keep only
+        # The committed baseline must be machine-independent: keep only
         # the deterministic (vtime) metrics, never wall-clock ones.
-        for path, cur in ((args.baseline, current),
-                          (args.adaptive_baseline, ad_current)):
-            kept = [m for m in cur["metrics"] if m["deterministic"]]
-            with open(path, "w") as f:
-                json.dump({"schema": SCHEMA,
-                           "max_procs": cur["max_procs"],
-                           "metrics": kept}, f, indent=1)
-                f.write("\n")
-            gated = sum(1 for m in kept if m["gate"])
-            print(f"bench_gate: wrote {path} "
-                  f"({len(kept)} metrics, {gated} gated)")
-        return 0 if ad_accept_ok else 1
+        kept = [m for m in metrics if m["deterministic"]]
+        with open(args.baseline, "w") as f:
+            json.dump({"schema": SCHEMA, "max_procs": args.max_procs,
+                       "metrics": kept}, f, indent=1)
+            f.write("\n")
+        gated = sum(1 for m in kept if m["gate"])
+        print(f"bench_gate: wrote {args.baseline} "
+              f"({len(kept)} metrics, {gated} gated)")
+        return 0
 
     out = args.out or "BENCH_search.new.json"
     with open(out, "w") as f:
@@ -307,27 +271,18 @@ def main():
         f.write("\n")
     print(f"bench_gate: wrote {out} ({len(metrics)} metrics)")
 
-    ok = True
-    for path, cur, tag in ((args.baseline, current, "search"),
-                           (args.adaptive_baseline, ad_current, "adaptive")):
-        if not os.path.exists(path):
-            sys.exit(f"bench_gate: baseline {path} not found — run "
-                     "with --update-baseline to create it")
-        with open(path) as f:
-            baseline = json.load(f)
-        if baseline.get("schema") != SCHEMA:
-            sys.exit(f"bench_gate: baseline schema "
-                     f"{baseline.get('schema')!r} != {SCHEMA!r}; refresh "
-                     "with --update-baseline")
-        this_ok, lines = evaluate(baseline, cur, args.tolerance,
-                                  args.allow_missing)
-        print(f"bench_gate: [{tag}]")
-        print("\n".join(lines))
-        ok = ok and this_ok
-    if not ad_accept_ok:
-        print("bench_gate: FAIL — bench_adaptive acceptance thresholds "
-              "violated (see ACCEPTANCE FAIL lines above)")
-        ok = False
+    if not os.path.exists(args.baseline):
+        sys.exit(f"bench_gate: baseline {args.baseline} not found — run "
+                 "with --update-baseline to create it")
+    with open(args.baseline) as f:
+        baseline = json.load(f)
+    if baseline.get("schema") != SCHEMA:
+        sys.exit(f"bench_gate: baseline schema "
+                 f"{baseline.get('schema')!r} != {SCHEMA!r}; refresh "
+                 "with --update-baseline")
+    ok, lines = evaluate(baseline, current, args.tolerance,
+                         args.allow_missing)
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

@@ -8,14 +8,15 @@
 #                                  # ICB-pool/bound units of
 #                                  # test_hotpath, the contended
 #                                  # bounded-grab tests of test_claim, all
-#                                  # of test_shard and test_adaptive, the
-#                                  # Shard-named tests of
-#                                  # test_runtime_units, test_audit and
-#                                  # test_fault, the strategy-conformance
-#                                  # tests of test_runtime_units,
-#                                  # test_analysis and test_fault, and the
-#                                  # served sharded-index / tiny-slice
-#                                  # tests of test_serve)
+#                                  # of test_shard, test_fault and
+#                                  # test_thread_team, the Shard-named
+#                                  # tests of test_runtime_units and
+#                                  # test_audit, the cancelled-run audit
+#                                  # tests of test_audit, the
+#                                  # strategy-conformance tests of
+#                                  # test_runtime_units, and the served
+#                                  # sharded-index / tiny-slice tests of
+#                                  # test_serve)
 #   tools/check.sh --fast          # tier-1 only
 #   tools/check.sh --repeat        # tier-1 build, then the audit, threads,
 #                                  # stress, team, claim and shard suites
@@ -29,13 +30,8 @@
 #                                  # then an ASan build of the unit-tests
 #                                  # target (the unit tier's binaries,
 #                                  # selfsched-run and selfsched-fuzz) and
-#                                  # bench_adaptive: the unit tier audited,
-#                                  # then the E16 acceptance thresholds
-#   tools/check.sh --faults        # fault-tolerance suite (test_fault +
-#                                  # cancellation-adjacent tests) under TSan,
-#                                  # then audited under ASan — the
-#                                  # cancellation/drain paths are exactly
-#                                  # where races and leaks would hide
+#                                  # test_thread_team: the unit tier and the
+#                                  # thread team audited
 #   tools/check.sh --serve         # resident-service suite: test_serve,
 #                                  # the oversubscribed served-Doacross
 #                                  # stress (2 x nproc workers, 50 audited
@@ -70,7 +66,6 @@ FAST=0
 REPEAT=0
 EXPLORE=0
 AUDIT=0
-FAULTS=0
 SERVE=0
 RESILIENCE=0
 LABEL=""
@@ -80,21 +75,15 @@ while [[ $# -gt 0 ]]; do
     --repeat) REPEAT=1; shift ;;
     --explore) EXPLORE=1; shift ;;
     --audit) AUDIT=1; shift ;;
-    --faults) FAULTS=1; shift ;;
     --serve) SERVE=1; shift ;;
     --resilience) RESILIENCE=1; shift ;;
     --label) LABEL="${2:?--label needs an argument}"; shift 2 ;;
     *) echo "usage: tools/check.sh [--fast] [--repeat] [--explore] [--audit]" \
-            "[--faults] [--serve] [--resilience]" \
+            "[--serve] [--resilience]" \
             "[--label TIER]" >&2
        exit 2 ;;
   esac
 done
-
-# The fault-suite test filter: the fault tests themselves plus the suites
-# that exercise cancellation-adjacent machinery (teardown spins, Doacross
-# waits, the thread team's exception path).
-FAULT_TESTS='FaultBody|FaultInject|FaultDeadline|FaultDrain|FaultReplay|FaultHooks|FaultDoacross|FaultWatchdog|AuditCancel|ThreadTeam'
 
 # The resilience filter: the serve recovery state machine (retry /
 # quarantine / shed), the stall watchdog, and the seeded-jitter backoff
@@ -117,36 +106,24 @@ REPEAT_ROUNDS=20
 
 # The Shard-named tests of suites that are not sharding suites, for the
 # default TSan pass: the shard-math/ICB units and the shard rule
-# (ShardMath/ShardRule/Shard.*), the auditor rules (AuditShard) and the
-# sharded cancellation/deadline tests (FaultShard).  Their audited ASan
-# half runs in --audit's unit tier.  Also the served sharded-index closed
-# loop and tiny-slice yields of test_serve.
+# (ShardMath/ShardRule/Shard.*) and the auditor rules (AuditShard).  Their
+# audited ASan half runs in --audit's unit tier.  Also the served
+# sharded-index closed loop and tiny-slice yields of test_serve.
 TSAN_SHARD_TESTS='*Shard*'
 
-# The strategy-conformance tests of suites that are not strategy suites,
-# for the default TSan pass next to all of test_adaptive (the tuner, whose
-# threads feedback reads per-chunk CPU clocks): the portfolio's
-# closed-form and contended-exactness units (Strategy*), the completion-time
-# model's edge cases and the stall-under-adaptation fault test.  Their
+# The strategy-conformance tests of test_runtime_units for the default
+# TSan pass: the portfolio's closed-form and contended-exactness units
+# (Strategy*) and the audited schedule sweep (PortfolioSweep).  Their
 # audited ASan half runs in --audit's unit tier.
-TSAN_STRATEGY_TESTS='Strategy*:CompletionModel*:FaultAdaptive*'
-TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield'
+TSAN_STRATEGY_TESTS='Strategy*:*PortfolioSweep*'
 
-if [[ "$FAULTS" == 1 ]]; then
-  echo "== faults: TSan build, fault-tolerance suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_fault test_thread_team \
-      test_audit
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R "$FAULT_TESTS")
-  echo "== faults: ASan build, audited fault-tolerance suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_fault test_thread_team \
-      test_audit
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$FAULT_TESTS")
-  echo "== OK (faults) =="
-  exit 0
-fi
+# The cancelled-run audit tests of test_audit for the default TSan pass,
+# next to all of test_fault and test_thread_team: the cancellation and
+# drain paths are exactly where races would hide.  Their audited ASan half
+# runs in --audit: test_fault and test_audit in the unit tier,
+# test_thread_team on its own.
+TSAN_CANCEL_TESTS='AuditCancel*'
+TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield'
 
 if [[ "$SERVE" == 1 ]]; then
   # serve-stress sets opts.audit on every submission, so both sanitizer
@@ -203,11 +180,11 @@ if [[ "$AUDIT" == 1 ]]; then
       -L 'unit|explore')
   echo "== audit: ASan build, audited unit tier =="
   cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target unit-tests bench_adaptive
+  cmake --build build-asan -j "$JOBS" --target unit-tests test_thread_team
   (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
       -L unit)
-  echo "== audit: ASan build, E16 acceptance thresholds =="
-  ./build-asan/bench/bench_adaptive > /dev/null
+  echo "== audit: ASan build, audited thread team =="
+  SELFSCHED_AUDIT=1 ./build-asan/tests/test_thread_team
   echo "== OK (audit) =="
   exit 0
 fi
@@ -246,23 +223,22 @@ if [[ "$FAST" == 1 ]]; then
 fi
 
 echo "== TSan: threaded scheduler tests + hot-path units + claim + shards" \
-     "+ strategies =="
+     "+ strategies + faults =="
 cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target test_scheduler_threads \
-    test_shard_policy test_hotpath test_claim test_shard test_adaptive \
-    test_runtime_units test_analysis test_audit test_fault test_serve
+    test_shard_policy test_hotpath test_claim test_shard test_fault \
+    test_thread_team test_runtime_units test_audit test_serve
 ./build-tsan/tests/test_scheduler_threads
 ./build-tsan/tests/test_shard_policy
 ./build-tsan/tests/test_hotpath
 ./build-tsan/tests/test_claim
 ./build-tsan/tests/test_shard
-./build-tsan/tests/test_adaptive
+./build-tsan/tests/test_fault
+./build-tsan/tests/test_thread_team
 ./build-tsan/tests/test_runtime_units \
     --gtest_filter="$TSAN_SHARD_TESTS:$TSAN_STRATEGY_TESTS"
-./build-tsan/tests/test_analysis --gtest_filter="$TSAN_STRATEGY_TESTS"
-./build-tsan/tests/test_audit --gtest_filter="$TSAN_SHARD_TESTS"
-./build-tsan/tests/test_fault \
-    --gtest_filter="$TSAN_SHARD_TESTS:$TSAN_STRATEGY_TESTS"
+./build-tsan/tests/test_audit \
+    --gtest_filter="$TSAN_SHARD_TESTS:$TSAN_CANCEL_TESTS"
 ./build-tsan/tests/test_serve --gtest_filter="$TSAN_SERVE_TESTS"
 
 echo "== OK =="

@@ -31,14 +31,13 @@ using namespace selfsched;
 namespace {
 
 runtime::Strategy strategy_for_seed(u64 seed) {
-  switch (seed % 6) {
+  switch (seed % 5) {
     case 0: return runtime::Strategy::self();
     case 1:
       return runtime::Strategy::chunked(static_cast<i64>(seed % 7) + 2);
     case 2: return runtime::Strategy::gss();
     case 3: return runtime::Strategy::factoring();
-    case 4: return runtime::Strategy::trapezoid();
-    default: return runtime::Strategy::adaptive();
+    default: return runtime::Strategy::trapezoid();
   }
 }
 
@@ -52,7 +51,6 @@ bool known_kind(u32 kind) {
     case K::kGSS:
     case K::kFactoring:
     case K::kTrapezoid:
-    case K::kAdaptive:
       return true;
   }
   return false;

@@ -40,9 +40,9 @@ void usage(const char* argv0, std::FILE* out) {
       "                           vtime cost model (default cedar)\n"
       "\n"
       "scheduling:\n"
-      "  --strategy self|chunk:K|gss|factoring|trapezoid|adaptive[:TAU]\n"
+      "  --strategy self|chunk:K|gss|factoring|trapezoid\n"
       "                           low-level Doall dispatch (default self);\n"
-      "                           K >= 1 and TAU >= 0 are decimal integers\n"
+      "                           K >= 1 is a decimal integer\n"
       "  --central-queue          single-list task pool (ablation)\n"
       "\n"
       "program:\n"
@@ -128,11 +128,6 @@ bool parse_strategy(const std::string& s, runtime::Strategy* out) {
     *out = runtime::Strategy::factoring();
   } else if (s == "trapezoid") {
     *out = runtime::Strategy::trapezoid();
-  } else if (s.rfind("adaptive:", 0) == 0) {
-    if (!parse_int_at_least(s.c_str() + 9, 0, &v)) return false;
-    *out = runtime::Strategy::adaptive(v);
-  } else if (s == "adaptive") {
-    *out = runtime::Strategy::adaptive();
   } else {
     return false;
   }

@@ -43,9 +43,9 @@ class ReplayInputTest(unittest.TestCase):
         self.assertIn(key, r.stderr)
 
     def test_removed_kinds_are_refused(self):
-        # 5, 6, 7 and 8 were batched factoring, weighted factoring, tuned
-        # trapezoid and random steal.
-        for kind in (5, 6, 7, 8):
+        # 5, 6, 7, 8 and 9 were batched factoring, weighted factoring, tuned
+        # trapezoid, random steal and the online-tuned adaptive kind.
+        for kind in (5, 6, 7, 8, 9):
             self.assert_refused(repro(strategy_kind=kind), "strategy_kind")
 
     def test_unknown_kind_is_refused(self):
