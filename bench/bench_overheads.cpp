@@ -95,7 +95,7 @@ void BM_DispatchGss(benchmark::State& state) {
   for (auto _ : state) {
     if (remaining <= 0) {
       state.PauseTiming();
-      icb.init(0, 1 << 20, runtime::step_count(strat, 1 << 20, 8),
+      icb.init(0, 1 << 20, runtime::plan_steps(icb, strat, 1 << 20, 8),
                IndexVec{}, false);
       remaining = 1 << 20;
       state.ResumeTiming();

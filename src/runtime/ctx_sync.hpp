@@ -110,16 +110,24 @@ void charge_cycles([[maybe_unused]] C& ctx, [[maybe_unused]] Cycles c) {
 template <exec::ExecutionContext C>
 class CtxControlWord {
  public:
-  explicit CtxControlWord(u32 num_bits)
-      : num_bits_(num_bits),
-        num_words_((num_bits + 63) / 64),
-        words_(std::make_unique<Padded[]>(num_words_)) {
-    SS_CHECK(num_bits > 0);
-  }
+  explicit CtxControlWord(u32 num_bits) { resize(num_bits); }
 
   static constexpr u32 kEmpty = 0xffffffffu;
 
   u32 size() const { return num_bits_; }
+
+  /// Re-size to `num_bits` bits, all clear.  Word storage only grows.
+  /// Host-side: no worker may be live.
+  void resize(u32 num_bits) {
+    SS_CHECK(num_bits > 0);
+    num_bits_ = num_bits;
+    num_words_ = (num_bits + 63) / 64;
+    if (num_words_ > words_cap_) {
+      words_ = std::make_unique<Padded[]>(num_words_);
+      words_cap_ = num_words_;
+    }
+    for (u32 w = 0; w < num_words_; ++w) words_[w].v.reset(0);
+  }
 
   void set(C& ctx, u32 i) {
     SS_DCHECK(i < num_bits_);
@@ -188,8 +196,9 @@ class CtxControlWord {
     return bit < num_bits_ ? bit : kEmpty;
   }
 
-  u32 num_bits_;
-  u32 num_words_;
+  u32 num_bits_ = 0;
+  u32 num_words_ = 0;
+  u32 words_cap_ = 0;
   std::unique_ptr<Padded[]> words_;
 };
 

@@ -308,6 +308,22 @@ struct CancelState {
   /// Threads: host_now_ns() of the last completed chunk or of the seed; 0
   /// until seed_program opens the first window.
   std::atomic<i64> watch_host{0};
+
+  /// Back to the state of a fresh namespace: no claim, no latch, no record,
+  /// nothing armed.  Host-side; no worker may be live.
+  void reset() {
+    claim.reset(0);
+    latch.reset(0);
+    cancelled.store(0, std::memory_order_relaxed);
+    record = FailureRecord{};
+    vdeadline = 0;
+    host_deadline_armed = false;
+    host_deadline = {};
+    stall_vcycles = 0;
+    stall_ns = 0;
+    watch_vt.store(0, std::memory_order_relaxed);
+    watch_host.store(0, std::memory_order_relaxed);
+  }
 };
 
 // ---------------------------------------------------------------------------

@@ -34,14 +34,32 @@ inline constexpr Cycles kIdleBackoffMax = 1024;
 template <exec::ExecutionContext C>
 struct SchedState {
   SchedState(const program::CompiledProgram& p, const SchedOptions& o)
-      : prog(&p),
-        opts(o),
-        pool(o.central_queue ? 1u : p.num_loops()),
-        bars(kBarBuckets) {
+      : prog(&p), opts(o), pool(num_lists(p, o)), bars(kBarBuckets) {
     outstanding.reset(0);
     done.reset(0);
-    cancel.claim.reset(0);
-    cancel.latch.reset(0);
+    cancel.reset();
+  }
+
+  /// Re-arm a drained namespace for program `p` (namespace reuse; see
+  /// ProgramRun::reset).  Host-side, at quiescence, and only after a clean
+  /// drain: every list empty, every ICB back on the free list, no live
+  /// BAR_COUNT counter.  The sync variables and the cancellation state start
+  /// over, and the ICBs' Doacross flag arrays are freed; the ICB arena
+  /// (with its shard arrays and step tables), the BAR_COUNT buckets and
+  /// nodes, and the list storage are kept.
+  void reset(const program::CompiledProgram& p, const SchedOptions& o) {
+    prog = &p;
+    opts = o;
+    pool.reset(num_lists(p, o));
+    icbs.host_release_flags();
+    outstanding.reset(0);
+    done.reset(0);
+    cancel.reset();
+  }
+
+  static u32 num_lists(const program::CompiledProgram& p,
+                       const SchedOptions& o) {
+    return o.central_queue ? 1u : p.num_loops();
   }
 
   /// Forward the host-quiescence token (see ProgramRun): revoked while
@@ -582,8 +600,8 @@ void enter(C& ctx, SchedState<C>& st, LoopId cur, Level level,
       const bool doacross = d->doacross.has_value();
       const Strategy& strat =
           doacross ? st.opts.doacross_strategy : st.opts.strategy;
-      icb->init(cur, b, step_count(strat, b, ctx.num_procs()), ivec,
-                doacross, d->depth,
+      const i64 steps = plan_steps(*icb, strat, b, ctx.num_procs());
+      icb->init(cur, b, steps, ivec, doacross, d->depth,
                 index_shards_for(ctx, st.opts.strategy, doacross, b));
       ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kIncrement);
       st.pool.append(ctx, st.list_of(cur), icb);

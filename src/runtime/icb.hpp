@@ -17,12 +17,14 @@
 //   icount      (icount)        completed-iteration counter, starts at 0
 //   pcount      (pcount)        processors attached to this ICB
 //   da_flags                    Doacross post flags, one per iteration
+//   step_first                  guided kinds: each step's first iteration
 //   shards/sched_done           sharded low-level index — per-shard counters
 //                               plus the drained-shard election (extension;
 //                               docs/sharding.md)
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "common/cacheline.hpp"
 #include "common/check.hpp"
@@ -54,7 +56,7 @@ struct Icb {
 
   LoopId loop = kNoLoop;
   i64 bound = 0;
-  /// Dispatch steps that drain this instance, runtime::step_count of its
+  /// Dispatch steps that drain this instance, runtime::plan_steps of its
   /// strategy (bound under self).  Plain, like bound.
   i64 steps = 0;
   /// Nesting depth of `loop` — the meaningful prefix of `ivec` (entries past
@@ -75,6 +77,11 @@ struct Icb {
   typename C::Sync pcount;
   std::unique_ptr<typename C::Sync[]> da_flags;
   i64 da_flags_cap = 0;
+  /// Guided kinds only: the first iteration of every step, plus bound + 1
+  /// at index `steps` (runtime::plan_steps, strategy.hpp).  Written by the
+  /// activator before APPEND, read-only afterwards; its capacity survives
+  /// recycling like da_flags.
+  std::vector<i64> step_first;
 
   /// Sharded low-level index state (runtime::index_shards_for; see
   /// docs/sharding.md).  `num_shards` is the instance's G (never more than

@@ -94,6 +94,20 @@ class IcbPool {
     }
   }
 
+  /// Free every block's Doacross flag array (namespace reuse).  Any block
+  /// may serve a Doacross instance, so arrays kept across programs would
+  /// pile up until every block held one, b + 1 cache lines each; the next
+  /// Doacross activation allocates its array again, as in a new namespace.
+  /// Caller must hold the quiescence token.
+  void host_release_flags() {
+    SS_DCHECK_MSG(host_quiescent_,
+                  "IcbPool::host_release_flags outside quiescence");
+    for (Icb<C>& node : arena_) {
+      node.da_flags.reset();
+      node.da_flags_cap = 0;
+    }
+  }
+
  private:
   // On its own cache line, like the task-pool list locks.
   alignas(kCacheLine) typename C::Sync lock_;

@@ -8,12 +8,26 @@
 // stat slots.  Nothing in it is shared with any other ProgramRun, so any
 // number of them can coexist and be scheduled by the same physical workers
 // without sharing a single synchronization variable — the serve subsystem's
-// tenant isolation reduces to "one ProgramRun per submission".
+// tenant isolation reduces to "one ProgramRun per active submission".
 //
 // The lifecycle is: construct (submit) -> workers run worker_loop /
 // worker_session against `st` (dispatch) -> finish() (drain): harvest the
 // trace, reclaim cancelled leftovers, run the end-of-run conservation
 // audit, and fold everything into a RunResult.
+//
+// Namespace reuse: a namespace that finish() left clean (reusable(): no
+// failure, no audit finding, every list empty, no live BAR_COUNT counter)
+// can be reset() for the next program instead of being destroyed and
+// rebuilt, which is how the service keeps a free list of drained
+// namespaces.  reset() restarts everything a run observes — the SchedState
+// sync variables and CancelState, the recorder's counters and rings, the
+// stat slots, a fresh auditor — and keeps the storage a clean drain leaves
+// free: the ICB arena with each block's shard array and step table, the
+// BAR_COUNT buckets and nodes, and the task-pool lists.  The ICBs' Doacross
+// flag arrays are the exception: any block may serve a Doacross instance,
+// so kept arrays would pile up across programs (one per block, b + 1 cache
+// lines each), and reset() frees them.  A failed or cancelled namespace is
+// never reused.
 #pragma once
 
 #include <chrono>
@@ -115,36 +129,40 @@ inline void maybe_throw_failure(const SchedOptions& opts, const RunResult& r) {
 /// One in-flight scheduled execution: the program's private task-pool
 /// namespace plus everything needed to turn worker activity into a
 /// RunResult.  The CompiledProgram must outlive the ProgramRun (SchedState
-/// keeps a pointer).
+/// keeps a pointer) — or, for a reused namespace, until the next reset.
 template <exec::ExecutionContext C>
 struct ProgramRun {
   ProgramRun(const program::CompiledProgram& tables, const SchedOptions& o,
              u32 procs)
       : st(tables, o),
         rec(procs, o.trace_events, o.trace_ring_capacity),
-        auditing(make_audit(o)),
         stats(procs) {
-    // Revoke the host-quiescence token: from here until finish(), workers
-    // may be live in `st`, so the host-side pool/bars accessors are off
-    // limits (SS_DCHECK-enforced).
-    st.set_host_quiescent(false);
-    if constexpr (C::kIsSimulated) {
-      st.cancel.vdeadline = o.deadline_vcycles;
-      // Stall watchdog: the virtual clock starts at 0, which is also the
-      // initial progress mark, so the first budget window opens at run
-      // start.  Both the budget and the marks are engine-serialized state.
-      st.cancel.stall_vcycles = o.watchdog_stall_vcycles;
-    } else {
-      if (o.deadline_ms > 0) {
-        // Armed before any worker is dispatched (single-threaded), so the
-        // workers' unsynchronized deadline_expired() reads are race-free.
-        arm_deadline(std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(o.deadline_ms));
-      }
-      // The stall watchdog's first window opens in seed_program, not here:
-      // a slow team start or a queued admission is not a stall.
-      st.cancel.stall_ns = o.watchdog_stall_ms * 1'000'000;
-    }
+    arm(o);
+  }
+
+  /// Reuse this drained namespace for the next program, as if it had just
+  /// been constructed for (`tables`, `o`).  Call only after finish()
+  /// returned a result for which reusable() held.  The SchedState sync
+  /// variables and cancellation state, the recorder's counters and rings,
+  /// the stat slots and the auditor start over; the ICB arena (less its
+  /// Doacross flag arrays), the BAR_COUNT storage and the task-pool lists
+  /// are kept.
+  void reset(const program::CompiledProgram& tables, const SchedOptions& o) {
+    const u32 procs = rec.procs();
+    st.reset(tables, o);
+    rec.reset(o.trace_events, o.trace_ring_capacity);
+    stats.assign(procs, exec::WorkerStats{});
+    arm(o);
+  }
+
+  /// May finish()'s namespace be reset for another program?  Only a clean
+  /// one: no failure (a cancelled namespace was drained by the host, not by
+  /// its own protocol), no audit finding and no live BAR_COUNT counter (a
+  /// stale counter would be found by the next program's barrier).  finish()
+  /// has already checked that every list is empty.
+  bool reusable(const RunResult& r) const {
+    return !r.failure.has_value() && r.audit_violations == 0 &&
+           st.bars.live_counters() == 0;
   }
 
   ProgramRun(const ProgramRun&) = delete;
@@ -178,6 +196,34 @@ struct ProgramRun {
   trace::Recorder rec;
   AuditSetup auditing;
   std::vector<exec::WorkerStats> stats;
+
+ private:
+  /// The per-activation setup shared by construction and reset: a fresh
+  /// auditor, the deadline and the stall watchdog.
+  void arm(const SchedOptions& o) {
+    auditing = make_audit(o);
+    // Revoke the host-quiescence token: from here until finish(), workers
+    // may be live in `st`, so the host-side pool/bars accessors are off
+    // limits (SS_DCHECK-enforced).
+    st.set_host_quiescent(false);
+    if constexpr (C::kIsSimulated) {
+      st.cancel.vdeadline = o.deadline_vcycles;
+      // Stall watchdog: the virtual clock starts at 0, which is also the
+      // initial progress mark, so the first budget window opens at run
+      // start.  Both the budget and the marks are engine-serialized state.
+      st.cancel.stall_vcycles = o.watchdog_stall_vcycles;
+    } else {
+      if (o.deadline_ms > 0) {
+        // Armed before any worker is dispatched (single-threaded), so the
+        // workers' unsynchronized deadline_expired() reads are race-free.
+        arm_deadline(std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(o.deadline_ms));
+      }
+      // The stall watchdog's first window opens in seed_program, not here:
+      // a slow team start or a queued admission is not a stall.
+      st.cancel.stall_ns = o.watchdog_stall_ms * 1'000'000;
+    }
+  }
 };
 
 }  // namespace selfsched::runtime

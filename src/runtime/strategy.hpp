@@ -15,8 +15,10 @@
 //
 // The step number is the grab.  Every strategy numbers its grabs 0..N-1,
 // and the number alone fixes where a grant starts and how long it is
-// (step_at) — Eleliemy & Ciorba's distributed chunk calculation.
-// ENTER stores N (step_count) in Icb::steps, and a grab is one claim on the
+// (step_at) — Eleliemy & Ciorba's distributed chunk calculation.  The
+// guided kinds' starts follow a recurrence, which ENTER walks once per
+// instance into a table on the ICB, so every grab is O(1).
+// ENTER stores N (plan_steps) in Icb::steps, and a grab is one claim on the
 // step counter `index`: ctx_claim(index, N, 1) (runtime/ctx_sync.hpp), the
 // paper's {index <= N ; Fetch&Add(1)}.  Steps 0..N-1 are each granted once
 // in any interleaving, so a contended run hands out exactly a serial
@@ -103,20 +105,6 @@ struct Dispatch {
   u32 shard = kNoShard;  // sharded instance: the shard the grant came from
 };
 
-/// Guided step `seq` (0-based) over `span` iterations: walks the serial
-/// recurrence R_0 = span, k_i = max(min_chunk, ceil(R_i/div)), R_{i+1} =
-/// R_i - min(k_i, R_i) to R_seq and grants the next min(k_seq, R_seq)
-/// iterations.  div = P gives GSS, 2P factoring.  O(seq) per call, over the
-/// O(P log(span/P)) steps of an instance.
-inline Dispatch guided_step_at(i64 span, i64 div, i64 seq, i64 min_chunk) {
-  const auto chunk = [&](i64 r) {
-    return std::min(r, std::max(min_chunk, (r + div - 1) / div));
-  };
-  i64 remaining = span;
-  for (i64 i = 0; i < seq && remaining > 0; ++i) remaining -= chunk(remaining);
-  return {span - remaining + 1, chunk(remaining)};
-}
-
 /// Trapezoid step `seq` over `span` iterations: chunk c(n) = max(last,
 /// first - n*delta), delta = (first-last)/(N-1) where N is the number of
 /// dispatches that consume the loop at the average chunk.  The chunks above
@@ -139,45 +127,78 @@ inline Dispatch trapezoid_step_at(i64 span, u32 procs, i64 seq,
   return {done + 1, std::min(std::max(last, first - seq * delta), span - done)};
 }
 
-/// The grant of step `seq` (0-based, below step_count) of an instance of
-/// `b` iterations on `procs` workers.
-/// Pure in its arguments: the step number alone decides the grant, whoever
-/// draws it.
-inline Dispatch step_at(const Strategy& s, i64 b, u32 procs, i64 seq) {
-  const i64 p = static_cast<i64>(procs);
+/// Plan the steps of an instance of `b` >= 1 iterations under `s` on
+/// `procs` workers and return their number N, which the caller passes to
+/// Icb::init.  The guided kinds (GSS, factoring) also get `icb`'s step
+/// table: their step starts follow a recurrence rather than a closed form,
+/// so it is walked here once, O(N), and every grab reads its grant from
+/// the table.  ENTER calls this while it still owns the ICB, so APPEND
+/// publishes the table with the rest of the ICB.  A test that builds an
+/// ICB by hand must call it too, or a guided grab reads an empty table.
+template <exec::ExecutionContext C>
+i64 plan_steps(Icb<C>& icb, const Strategy& s, i64 b, u32 procs) {
   switch (s.kind) {
     case Strategy::Kind::kSelf:
-      return {seq + 1, 1};
+      return b;
     case Strategy::Kind::kChunk:
-      return {1 + seq * s.chunk, std::min(s.chunk, b - seq * s.chunk)};
+      return 1 + (b - 1) / s.chunk;
     case Strategy::Kind::kGSS:
-      return guided_step_at(b, p, seq, s.chunk);
-    case Strategy::Kind::kFactoring:
-      return guided_step_at(b, 2 * p, seq, s.chunk);
+    case Strategy::Kind::kFactoring: {
+      // R_0 = b, k_i = max(min_chunk, ceil(R_i/div)), R_{i+1} = R_i -
+      // min(k_i, R_i); step i starts at b - R_i + 1.  div = P gives GSS,
+      // 2P factoring.  N is O(P log(b/P)).
+      const i64 div = static_cast<i64>(procs) *
+                      (s.kind == Strategy::Kind::kFactoring ? 2 : 1);
+      icb.step_first.clear();
+      for (i64 first = 1; first <= b;) {
+        icb.step_first.push_back(first);
+        const i64 r = b - first + 1;
+        first += std::min(r, std::max(s.chunk, (r + div - 1) / div));
+      }
+      icb.step_first.push_back(b + 1);
+      return static_cast<i64>(icb.step_first.size()) - 1;
+    }
     case Strategy::Kind::kTrapezoid:
-      return trapezoid_step_at(b, procs, seq, s.tss_first, s.tss_last);
+      break;
   }
-  return {};
-}
-
-/// Number of steps N that drain an instance of `b` >= 1 iterations under
-/// `s` on `procs` workers, stored in Icb::steps at ENTER.
-inline i64 step_count(const Strategy& s, i64 b, u32 procs) {
-  if (s.kind == Strategy::Kind::kSelf) return b;
-  if (s.kind == Strategy::Kind::kChunk) return 1 + (b - 1) / s.chunk;
-  // Every step grants at least one iteration and starts where the last
-  // ended, so N in [1, b] is the first step that starts past b.
+  // Trapezoid: every step grants at least one iteration and starts where
+  // the last ended, so N in [1, b] is the first step that starts past b.
   i64 lo = 1;
   i64 hi = b;
   while (lo < hi) {
     const i64 mid = lo + (hi - lo) / 2;
-    if (step_at(s, b, procs, mid).first > b) {
+    if (trapezoid_step_at(b, procs, mid, s.tss_first, s.tss_last).first > b) {
       hi = mid;
     } else {
       lo = mid + 1;
     }
   }
   return lo;
+}
+
+/// The grant of step `seq` (0-based, below Icb::steps) of `icb` on `procs`
+/// workers.  The step number alone decides the grant, whoever draws it:
+/// self, chunk and trapezoid compute it in closed form, the guided kinds
+/// read it from the table plan_steps filled at ENTER.  O(1) either way.
+template <exec::ExecutionContext C>
+inline Dispatch step_at(const Strategy& s, const Icb<C>& icb, u32 procs,
+                        i64 seq) {
+  const i64 b = icb.bound;
+  switch (s.kind) {
+    case Strategy::Kind::kSelf:
+      return {seq + 1, 1};
+    case Strategy::Kind::kChunk:
+      return {1 + seq * s.chunk, std::min(s.chunk, b - seq * s.chunk)};
+    case Strategy::Kind::kGSS:
+    case Strategy::Kind::kFactoring: {
+      SS_DCHECK(static_cast<std::size_t>(seq) + 1 < icb.step_first.size());
+      const auto k = static_cast<std::size_t>(seq);
+      return {icb.step_first[k], icb.step_first[k + 1] - icb.step_first[k]};
+    }
+    case Strategy::Kind::kTrapezoid:
+      return trapezoid_step_at(b, procs, seq, s.tss_first, s.tss_last);
+  }
+  return {};
 }
 
 /// Grab the next block of iterations from the instance's flat index,
@@ -195,7 +216,7 @@ Dispatch dispatch_flat(C& ctx, Icb<C>& icb, const Strategy& s) {
   }
   const auto r = ctx_claim(ctx, icb.index, icb.steps, 1);
   if (!r.success) return {};
-  Dispatch d = step_at(s, icb.bound, ctx.num_procs(), r.fetched - 1);
+  Dispatch d = step_at(s, icb, ctx.num_procs(), r.fetched - 1);
   d.last_scheduled = r.fetched == icb.steps;
   return d;
 }

@@ -21,11 +21,7 @@ namespace selfsched::runtime {
 template <exec::ExecutionContext C>
 class TaskPool {
  public:
-  explicit TaskPool(u32 num_lists) : m_(num_lists), sw_(num_lists) {
-    SS_CHECK(num_lists > 0);
-    lists_ = std::make_unique<List[]>(m_);
-    for (u32 i = 0; i < m_; ++i) lists_[i].lock.reset(1);
-  }
+  explicit TaskPool(u32 num_lists) : sw_(num_lists) { reset(num_lists); }
 
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
@@ -107,6 +103,20 @@ class TaskPool {
     return true;
   }
 
+  /// Re-size an empty pool to `num_lists` lists with SW cleared (namespace
+  /// reuse).  List storage only grows.  Host-side: no worker may be live.
+  void reset(u32 num_lists) {
+    SS_CHECK(num_lists > 0);
+    if (num_lists > cap_) {
+      lists_ = std::make_unique<List[]>(num_lists);
+      cap_ = num_lists;
+      for (u32 i = 0; i < cap_; ++i) lists_[i].lock.reset(1);
+    }
+    m_ = num_lists;
+    SS_DCHECK(empty());
+    sw_.resize(num_lists);
+  }
+
   /// Host-side unlink of every list (cancelled-run drain; see
   /// drain_cancelled in high_level.hpp).  Caller must hold the quiescence
   /// token: every worker has joined.  The ICBs themselves are reclaimed
@@ -126,7 +136,8 @@ class TaskPool {
     Icb<C>* tail = nullptr;
   };
 
-  u32 m_;
+  u32 m_ = 0;
+  u32 cap_ = 0;  // lists allocated; the first m_ are in use
   CtxControlWord<C> sw_;
   std::unique_ptr<List[]> lists_;
   bool host_quiescent_ = true;

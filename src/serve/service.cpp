@@ -291,8 +291,15 @@ void Service::activate_locked(const std::shared_ptr<Submission>& sub) {
   }
   sub->state = Submission::State::kActive;
   sub->started_at = now;
-  sub->run = std::make_unique<runtime::ProgramRun<exec::RContext>>(
-      sub->prog->tables(), sub->opts, procs_);
+  if (spare_.empty()) {
+    sub->run = std::make_unique<Namespace>(sub->prog->tables(), sub->opts,
+                                           procs_);
+  } else {
+    sub->run = std::move(spare_.back());
+    spare_.pop_back();
+    sub->run->reset(sub->prog->tables(), sub->opts);
+    counters_.serve_reuses++;
+  }
   if (sub->run->auditing.sink != nullptr) {
     sub->run->auditing.sink->set_scope("tenant " +
                                        std::to_string(sub->tenant) + " sub " +
@@ -325,12 +332,15 @@ std::shared_ptr<Submission> Service::admit_and_pick_locked() {
     if (next == nullptr) break;
     activate_locked(next);  // pushes to active_ unless finalized unrun
   }
-  // Strict across tiers, least-granted tenant within a tier, then the
-  // tenant's namespace with the fewest resident workers (so free workers
-  // spread over its programs instead of piling onto the oldest), FIFO on
-  // ties.  Deterministic grants leave no worker resident: FIFO there.
+  // Strict across tiers.  Within a tier a namespace with no resident
+  // worker comes before any staffed one — SEARCH's rule one level up: a
+  // free processor goes where processors are still needed, and a worker
+  // joining a staffed namespace only splits its grants.  Within each of
+  // those two classes: the least-granted tenant, then the namespace with
+  // the fewest resident workers, then FIFO.  Deterministic grants leave no
+  // worker resident: FIFO there.
   std::shared_ptr<Submission> best;
-  std::tuple<u32, u64, u32, u64> best_key;
+  std::tuple<u32, bool, u64, u32, u64> best_key;
   for (const auto& s : active_) {
     if (s->done_flag) continue;  // draining; its own workers finalize it
     // Stalled with a worker still inside: that worker's slice end either
@@ -338,8 +348,9 @@ std::shared_ptr<Submission> Service::admit_and_pick_locked() {
     // nobody inside the namespace must be re-probed (kept live by the
     // workers' timed wait even if every notify was consumed elsewhere).
     if (s->stalled && s->workers_in > 0) continue;
-    const std::tuple key(s->priority, tenant_charge_locked(s->tenant),
-                         s->workers_in, s->seq);
+    const std::tuple key(s->priority, s->workers_in > 0,
+                         tenant_charge_locked(s->tenant), s->workers_in,
+                         s->seq);
     if (best == nullptr || key < best_key) {
       best = s;
       best_key = key;
@@ -368,7 +379,6 @@ void Service::finalize_unrun_locked(Submission& sub,
   record_terminal_locked(sub, r);
   erase_active(active_, &sub);
   sub.state = Submission::State::kFinished;
-  sub.run.reset();
   sub.result.emplace(std::move(r));
   retire_locked(sub, row);
 }
@@ -386,11 +396,12 @@ bool Service::should_retry_locked(const Submission& sub,
 }
 
 /// Resubmit a transiently failed submission: back into its priority queue
-/// behind a deterministic backoff gate, to be activated into a FRESH
-/// ProgramRun namespace.  The FaultPlan is NOT reset — fired exactly-once
-/// specs stay fired, so the retried run executes as if unarmed and its
-/// result is oracle-identical.  granted/slices/queue_wait keep accumulating
-/// across attempts: fairness charges the tenant for its retried cycles.
+/// behind a deterministic backoff gate, to be activated into a fresh (or
+/// reset) namespace; the failed one is never reused.  The FaultPlan is NOT
+/// reset — fired exactly-once specs stay fired, so the retried run executes
+/// as if unarmed and its result is oracle-identical.
+/// granted/slices/queue_wait keep accumulating across attempts: fairness
+/// charges the tenant for its retried cycles.
 void Service::schedule_retry_locked(const std::shared_ptr<Submission>& sub,
                                     const runtime::RunResult& r) {
   sub->attempts++;
@@ -401,7 +412,6 @@ void Service::schedule_retry_locked(const std::shared_ptr<Submission>& sub,
   h.last_failure = r.failure->kind;
   sub->prior_audit_violations += r.audit_violations;
   erase_active(active_, sub.get());
-  sub->run.reset();
   sub->state = Submission::State::kQueued;
   sub->seeded = false;
   sub->done_flag = false;
@@ -485,15 +495,22 @@ void Service::record_terminal_locked(Submission& sub,
   }
 }
 
-void Service::finalize_run_locked(const std::shared_ptr<Submission>& sub) {
+std::unique_ptr<Service::Namespace> Service::finalize_run_locked(
+    const std::shared_ptr<Submission>& sub) {
   const u64 makespan = ns_between(sub->started_at, Clock::now());
-  runtime::RunResult r = sub->run->finish(procs_, makespan);
+  std::unique_ptr<Namespace> ns = std::move(sub->run);
+  runtime::RunResult r = ns->finish(procs_, makespan);
+  // A clean namespace goes back to the free list for the next activation;
+  // anything else goes back to the caller, to be destroyed off the lock.
+  if (spare_.size() < opts_.max_active && ns->reusable(r)) {
+    spare_.push_back(std::move(ns));
+  }
   // Fold before the retry branch: a retried attempt's result is discarded,
   // but its rescue still happened.
   counters_.serve_watchdog_rescues += r.counters.serve_watchdog_rescues;
   if (should_retry_locked(*sub, r)) {
     schedule_retry_locked(sub, r);
-    return;
+    return ns;
   }
   r.counters.serve_preemptions += sub->preemptions;
   r.counters.serve_retries += sub->attempts;
@@ -510,9 +527,9 @@ void Service::finalize_run_locked(const std::shared_ptr<Submission>& sub) {
   record_terminal_locked(*sub, r);
   erase_active(active_, sub.get());
   sub->state = Submission::State::kFinished;
-  sub->run.reset();  // the namespace is drained; the result carries the rest
   sub->result.emplace(std::move(r));
   retire_locked(*sub, row);
+  return ns;
 }
 
 void Service::retire_locked(Submission& sub,
@@ -561,7 +578,11 @@ void Service::worker_main(ProcId id) {
     }
     if (sub->done_flag && sub->workers_in == 0 &&
         sub->state == Submission::State::kActive) {
-      finalize_run_locked(sub);
+      if (std::unique_ptr<Namespace> dead = finalize_run_locked(sub)) {
+        lk.unlock();
+        dead.reset();  // a namespace that could not be reused
+        lk.lock();
+      }
     } else {
       // Eligibility may have changed (stalled cleared / workers_in freed).
       work_cv_.notify_all();
@@ -571,7 +592,7 @@ void Service::worker_main(ProcId id) {
 
 Service::SliceResult Service::run_slice(ProcId id, Submission& sub,
                                         bool do_seed) {
-  runtime::ProgramRun<exec::RContext>& run = *sub.run;
+  Namespace& run = *sub.run;
   exec::RContext ctx(id, procs_, run.st.opts.measure_phases);
   ctx.set_trace_sink(&run.rec.sink(id), run.rec.epoch());
   ctx.set_audit_sink(run.auditing.sink);

@@ -10,20 +10,28 @@
 //     too many distinct tenants yields a SubmitStatus, never an exception.
 //   * dispatch: free workers self-arbitrate under one service mutex.  They
 //     activate queued submissions (FIFO per priority bucket) while fewer
-//     than max_active are live, then pick the runnable submission by a
-//     four-step grant order: the highest non-empty priority tier; within
-//     it, the one whose TENANT has been granted the least worker time
-//     (async-priority-scheduler shape: pull from priority heaps, prove
-//     fairness with granted-cycle counters); within that tenant, the
-//     namespace with the fewest resident workers (space-sharing: free
-//     workers spread over a tenant's programs); then FIFO seq.
+//     than max_active are live, then pick the runnable submission by the
+//     key (priority, staffed, tenant charge, resident workers, seq): the
+//     highest non-empty priority tier; within it, a namespace with no
+//     resident worker before any staffed one (the paper's SEARCH sends a
+//     free processor only where processors are still needed); within each
+//     of those classes, the one whose TENANT has been granted the least
+//     worker time (async-priority-scheduler shape: pull from priority
+//     heaps, prove fairness with granted-cycle counters); then the
+//     namespace with the fewest resident workers; then FIFO seq.
+//   * activation: a namespace comes from the service's free list of
+//     drained ones when it has one (ProgramRun::reset) and is built only
+//     when it is empty; see "drain".
 //   * slices: a granted worker runs runtime::worker_session against the
 //     submission's namespace until the program finishes or the slice budget
 //     expires (SessionExit::kYield), then re-arbitrates — so one pool
 //     timeshares any number of programs without sharing a single sync var
 //     across namespaces.
 //   * drain: the last worker out of a finished namespace folds it into a
-//     RunResult (per-tenant rows included) and wakes awaiters.
+//     RunResult (per-tenant rows included) and wakes awaiters.  A namespace
+//     that drained clean goes back to the free list (at most max_active of
+//     them); a failed or cancelled one is destroyed after the mutex is
+//     released.
 //
 // Per-tenant deadlines and Handle::cancel ride the existing fault layer:
 // the namespace is cancelled via fail_run/poisoned indexes and drained by
@@ -157,7 +165,7 @@ class Service {
 
   /// Service-level counters (serve_submissions / serve_rejections /
   /// serve_preemptions / serve_retries / serve_watchdog_rescues /
-  /// serve_quarantines / serve_sheds).
+  /// serve_quarantines / serve_sheds / serve_reuses).
   trace::Counters counters() const;
 
   /// Per-tenant resilience health rows: breaker state, retry/failure/
@@ -171,6 +179,8 @@ class Service {
 
  private:
   friend class Handle;
+
+  using Namespace = runtime::ProgramRun<exec::RContext>;
 
   struct SliceResult {
     runtime::SessionExit exit;
@@ -196,7 +206,10 @@ class Service {
   void finalize_unrun_locked(Submission& sub,
                              fault::FailureRecord::Kind kind,
                              const char* message);
-  void finalize_run_locked(const std::shared_ptr<Submission>& sub);
+  /// Returns the finished namespace when it was not kept for reuse; the
+  /// caller destroys it after releasing mu_.
+  std::unique_ptr<Namespace> finalize_run_locked(
+      const std::shared_ptr<Submission>& sub);
   bool should_retry_locked(const Submission& sub,
                            const runtime::RunResult& r) const;
   void schedule_retry_locked(const std::shared_ptr<Submission>& sub,
@@ -216,6 +229,9 @@ class Service {
   u32 queued_ = 0;  // entries in queues_ still in State::kQueued
   std::vector<std::deque<std::shared_ptr<Submission>>> queues_;
   std::vector<std::shared_ptr<Submission>> active_;
+  /// Drained namespaces that finished clean, reset in place by the next
+  /// activation instead of being rebuilt (at most max_active).
+  std::vector<std::unique_ptr<Namespace>> spare_;
   std::unordered_map<u64, u32> tenants_inflight_;
   std::unordered_map<u64, runtime::TenantStats> tenant_totals_;
   std::unordered_map<u64, TenantHealth> health_;

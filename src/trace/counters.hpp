@@ -55,7 +55,10 @@ namespace selfsched::trace {
   X(serve_quarantines)      /* tenant quarantine-breaker trips (including     \
                                probation relapses) */                         \
   X(serve_sheds)            /* pending submissions dropped (or arrivals       \
-                               refused) by overload shedding */
+                               refused) by overload shedding */               \
+  X(serve_reuses)           /* activations that reset a drained namespace     \
+                               from the service's free list instead of        \
+                               building one */
 // clang-format on
 
 struct Counters {

@@ -46,14 +46,24 @@ class Recorder {
   Recorder(u32 procs, bool events_on, u32 ring_capacity)
       : sinks_(std::make_unique<WorkerSink[]>(procs)), procs_(procs) {
     SS_CHECK(procs > 0);
-    for (u32 id = 0; id < procs; ++id) {
+    reset(events_on, ring_capacity);
+  }
+
+  /// Zero every counter slot, empty the rings and restart the epoch, as
+  /// for a fresh run (namespace reuse).  No worker may be recording.
+  void reset(bool events_on, u32 ring_capacity) {
+    for (u32 id = 0; id < procs_; ++id) {
+      sinks_[id].counters = Counters{};
       sinks_[id].events_on = events_on;
-      if (events_on) sinks_[id].ring.reset(ring_capacity);
+      sinks_[id].ring.reset(events_on ? ring_capacity : 0);
     }
+    epoch_ = std::chrono::steady_clock::now();
   }
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
+
+  u32 procs() const { return procs_; }
 
   WorkerSink& sink(ProcId id) {
     SS_DCHECK(id < procs_);

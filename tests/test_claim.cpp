@@ -173,8 +173,8 @@ TEST(Claim, ThreadsEveryStrategyDrainsOneIcbExactlyOnce) {
                      << s.name() << " chunk=" << s.chunk << " b=" << b
                      << " shards=" << shards);
         Icb<exec::RContext> icb;
-        icb.init(0, b, step_count(s, b, procs), IndexVec{}, false, kMaxDepth,
-                 shards);
+        icb.init(0, b, plan_steps(icb, s, b, procs), IndexVec{}, false,
+                 kMaxDepth, shards);
         auto granted = std::make_unique<std::atomic<int>[]>(
             static_cast<std::size_t>(b + 1));
         std::atomic<int> last_grabs{0};
@@ -251,7 +251,7 @@ TEST(Claim, VtimeDispatchIssuesNoEqualityGrab) {
                                         << " shards=" << shards);
       vtime::Engine engine(kProcs, /*trace=*/true);
       Icb<vtime::VContext> icb;
-      icb.init(0, 1000, step_count(s, 1000, kProcs), IndexVec{}, false,
+      icb.init(0, 1000, plan_steps(icb, s, 1000, kProcs), IndexVec{}, false,
                kMaxDepth, shards);
       std::atomic<i64> total{0};
       engine.run([&](ProcId id) {
@@ -280,7 +280,7 @@ TEST(Claim, VtimeFlatGrabIsOneSyncOp) {
     SCOPED_TRACE(::testing::Message() << s.name() << " chunk=" << s.chunk);
     vtime::Engine engine(1);
     Icb<vtime::VContext> icb;
-    const i64 steps = step_count(s, kBound, 1);
+    const i64 steps = plan_steps(icb, s, kBound, 1);
     icb.init(0, kBound, steps, IndexVec{}, false);
     i64 attempts = 0;
     i64 granted = 0;

@@ -279,7 +279,7 @@ TEST(CtxControlWord, MultiWordMatchesABitsetOnRandomOps) {
 std::vector<i64> drain(i64 b, const Strategy& s, u32 procs = 4) {
   RContext ctx(0, procs);
   Icb<RContext> icb;
-  icb.init(0, b, step_count(s, b, procs), IndexVec{}, false);
+  icb.init(0, b, plan_steps(icb, s, b, procs), IndexVec{}, false);
   std::vector<i64> sizes;
   std::set<i64> covered;
   bool saw_last = false;
@@ -469,6 +469,71 @@ TEST(Strategy, AllKindsMatchClosedFormAndCoverBound) {
         const auto got = drain(b, s, procs);
         EXPECT_EQ(got, want) << s.name() << " b=" << b << " P=" << procs;
         EXPECT_EQ(sum(got), b) << s.name() << " b=" << b << " P=" << procs;
+      }
+    }
+  }
+}
+
+/// The guided walk as it was before the step table: step `seq`'s grant
+/// re-walks the recurrence from step 0 (O(seq)), and the step count is the
+/// bisection for the first step that starts past `span`.
+Dispatch rewalk_step_at(i64 span, i64 div, i64 seq, i64 min_chunk) {
+  const auto chunk = [&](i64 r) {
+    return std::min(r, std::max(min_chunk, (r + div - 1) / div));
+  };
+  i64 remaining = span;
+  for (i64 i = 0; i < seq && remaining > 0; ++i) remaining -= chunk(remaining);
+  return {span - remaining + 1, chunk(remaining)};
+}
+
+i64 rewalk_step_count(i64 span, i64 div, i64 min_chunk) {
+  i64 lo = 1;
+  i64 hi = span;
+  while (lo < hi) {
+    const i64 mid = lo + (hi - lo) / 2;
+    if (rewalk_step_at(span, div, mid, min_chunk).first > span) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(Strategy, GuidedStepTableMatchesTheRecurrenceRewalk) {
+  // Exhaustive over b in [1, 400], P in [1, 9], min_chunk in [1, 6] and
+  // both guided kinds, plus a few large bounds: the table plan_steps fills
+  // at ENTER gives the same step count as the bisection and, step for
+  // step, the same grant as re-walking the recurrence from step 0.
+  std::vector<i64> bounds;
+  for (i64 b = 1; b <= 400; ++b) bounds.push_back(b);
+  for (const i64 b : {i64{1000}, i64{4097}, i64{65536}, i64{1} << 20}) {
+    bounds.push_back(b);
+  }
+  RContext ctx(0, 1);
+  Icb<RContext> icb;
+  for (const Strategy::Kind kind :
+       {Strategy::Kind::kGSS, Strategy::Kind::kFactoring}) {
+    for (u32 procs = 1; procs <= 9; ++procs) {
+      const i64 div = kind == Strategy::Kind::kGSS ? procs : 2 * procs;
+      for (i64 min_chunk = 1; min_chunk <= 6; ++min_chunk) {
+        const Strategy s = kind == Strategy::Kind::kGSS
+                               ? Strategy::gss(min_chunk)
+                               : Strategy::factoring(min_chunk);
+        for (const i64 b : bounds) {
+          SCOPED_TRACE(::testing::Message() << s.name() << " P=" << procs
+                                            << " min=" << min_chunk
+                                            << " b=" << b);
+          const i64 n = plan_steps(icb, s, b, procs);
+          ASSERT_EQ(n, rewalk_step_count(b, div, min_chunk));
+          icb.init(0, b, n, IndexVec{}, false);
+          for (i64 seq = 0; seq < n; ++seq) {
+            const Dispatch want = rewalk_step_at(b, div, seq, min_chunk);
+            const Dispatch got = step_at(s, icb, procs, seq);
+            ASSERT_EQ(got.first, want.first) << "step " << seq;
+            ASSERT_EQ(got.count, want.count) << "step " << seq;
+          }
+        }
       }
     }
   }
@@ -765,7 +830,7 @@ std::vector<std::vector<i64>> sharded_drain(i64 b, u32 g_count,
                                             const Strategy& s, u32 procs) {
   RContext ctx(0, procs);
   Icb<RContext> icb;
-  icb.init(0, b, step_count(s, b, procs), IndexVec{}, false, kMaxDepth,
+  icb.init(0, b, plan_steps(icb, s, b, procs), IndexVec{}, false, kMaxDepth,
            g_count);
   std::vector<std::vector<i64>> per_shard(g_count);
   std::set<i64> covered;

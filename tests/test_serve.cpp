@@ -459,57 +459,352 @@ TEST(Serve, TinySlicesPublishCompletionsAtTheYield) {
   }
 }
 
-TEST(Serve, FreeWorkersSpreadAcrossATenantsNamespaces) {
-  // One tenant, two workers, two queued 2-iteration Doalls A and B whose
-  // bodies each sleep kBody.  A free worker must join the tenant's
-  // namespace with the fewest resident workers, so the second worker out
-  // starts B while the first is still inside A's first iteration — not
-  // A's second iteration, which would hold B back a whole body length.
-  // Both workers first sit in a gate program, so A and B are queued
-  // before either worker arbitrates.
+/// When, on a 2-worker service, A's and B's first iterations started and
+/// A's first iteration ended.  Both workers first sit in a gate program
+/// (tenant `gate`), so A and B — 2-iteration Doalls of tenants `a` and
+/// `b` whose bodies each sleep 30 ms — are queued before either worker
+/// arbitrates; then the gate opens.
+struct GateTimes {
+  std::chrono::steady_clock::time_point a_first, b_first, a_first_end;
+};
+
+GateTimes gate_then_a_and_b(serve::Service& svc, u64 gate, u64 a, u64 b) {
   using Clock = std::chrono::steady_clock;
   constexpr auto kBody = std::chrono::milliseconds(30);
-  serve::ServeOptions so;
-  so.priorities = 1;
-  serve::Service svc(2, so);
-
   std::atomic<int> gated{0};
   std::atomic<bool> release{false};
-  auto gate = svc.submit(shared_doall(2, [&](ProcId, const IndexVec&, i64) {
-    gated.fetch_add(1);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }));
-  ASSERT_TRUE(gate.accepted());
+  serve::SubmitOptions gs;
+  gs.tenant = gate;
+  auto g = svc.submit(shared_doall(2,
+                                   [&](ProcId, const IndexVec&, i64) {
+                                     gated.fetch_add(1);
+                                     while (!release.load()) {
+                                       std::this_thread::sleep_for(
+                                           std::chrono::microseconds(100));
+                                     }
+                                   }),
+                      gs);
+  EXPECT_TRUE(g.accepted());
+  if (!g.accepted()) return {};
   while (gated.load() < 2) std::this_thread::yield();
 
   // start/end of iteration j (1-based) of program p (0 = A, 1 = B).
   std::array<std::array<Clock::time_point, 2>, 2> start{}, end{};
-  const auto timed = [&](std::size_t p) {
-    return shared_doall(2, [&, p](ProcId, const IndexVec&, i64 j) {
-      const auto k = static_cast<std::size_t>(j - 1);
-      start[p][k] = Clock::now();
-      std::this_thread::sleep_for(kBody);
-      end[p][k] = Clock::now();
-    });
+  const auto timed = [&](std::size_t p, u64 tenant) {
+    serve::SubmitOptions s;
+    s.tenant = tenant;
+    return svc.submit(
+        shared_doall(2,
+                     [&, p](ProcId, const IndexVec&, i64 j) {
+                       const auto k = static_cast<std::size_t>(j - 1);
+                       start[p][k] = Clock::now();
+                       std::this_thread::sleep_for(kBody);
+                       end[p][k] = Clock::now();
+                     }),
+        s);
   };
-  auto a = svc.submit(timed(0));
-  auto b = svc.submit(timed(1));
-  ASSERT_TRUE(a.accepted());
-  ASSERT_TRUE(b.accepted());
+  auto ha = timed(0, a);
+  auto hb = timed(1, b);
+  EXPECT_TRUE(ha.accepted());
+  EXPECT_TRUE(hb.accepted());
   release.store(true);
 
-  EXPECT_FALSE(gate.handle.await().failure.has_value());
-  EXPECT_FALSE(a.handle.await().failure.has_value());
-  EXPECT_FALSE(b.handle.await().failure.has_value());
-  const auto b_first = std::min(start[1][0], start[1][1]);
-  const auto a_first_end = std::min(end[0][0], end[0][1]);
-  EXPECT_LT(b_first, a_first_end)
-      << "B started "
-      << std::chrono::duration<double, std::milli>(b_first - a_first_end)
-             .count()
-      << " ms after A's first iteration ended";
+  EXPECT_FALSE(g.handle.await().failure.has_value());
+  EXPECT_FALSE(ha.handle.await().failure.has_value());
+  EXPECT_FALSE(hb.handle.await().failure.has_value());
+  return {std::min(start[0][0], start[0][1]),
+          std::min(start[1][0], start[1][1]),
+          std::min(end[0][0], end[0][1])};
+}
+
+std::string ms_after(std::chrono::steady_clock::time_point t,
+                     std::chrono::steady_clock::time_point ref) {
+  return std::to_string(
+             std::chrono::duration<double, std::milli>(t - ref).count()) +
+         " ms";
+}
+
+TEST(Serve, FreeWorkersSpreadAcrossATenantsNamespaces) {
+  // One tenant.  A free worker must join the tenant's namespace with the
+  // fewest resident workers, so the second worker out starts B while the
+  // first is still inside A's first iteration — not A's second iteration,
+  // which would hold B back a whole body length.
+  serve::ServeOptions so;
+  so.priorities = 1;
+  serve::Service svc(2, so);
+  const GateTimes t = gate_then_a_and_b(svc, 0, 0, 0);
+  EXPECT_LT(t.b_first, t.a_first_end)
+      << "B started " << ms_after(t.b_first, t.a_first_end)
+      << " after A's first iteration ended";
+}
+
+TEST(Serve, FreeWorkerStaffsAnIdleNamespaceBeforeALessChargedTenant) {
+  // Two tenants.  Tenant 2 has been granted far more worker time than
+  // tenant 1 (a CPU-bound warm-up), and A belongs to tenant 1, B and the
+  // gate to tenant 2.  The first worker out takes A: neither namespace is
+  // staffed, and tenant 1 is the less charged.  The second must take B,
+  // because a namespace with no resident worker comes before a staffed one
+  // whatever the tenants' charges.  Were the tenant charge ranked first,
+  // it would join A and B would wait a whole body length.
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kWarmBody = std::chrono::milliseconds(10);
+  serve::ServeOptions so;
+  so.priorities = 1;
+  serve::Service svc(2, so);
+
+  serve::SubmitOptions heavy;
+  heavy.tenant = 2;
+  auto warm = svc.submit(shared_doall(2, [&](ProcId, const IndexVec&, i64) {
+                           const auto until = Clock::now() + kWarmBody;
+                           while (Clock::now() < until) {
+                           }
+                         }),
+                         heavy);
+  ASSERT_TRUE(warm.accepted());
+  ASSERT_FALSE(warm.handle.await().failure.has_value());
+
+  const GateTimes t = gate_then_a_and_b(svc, 2, 1, 2);
+  const auto rows = svc.tenant_snapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_GT(rows[1].granted, rows[0].granted);
+  EXPECT_LT(t.a_first, t.b_first) << "the less-charged tenant's A went second";
+  EXPECT_LT(t.b_first, t.a_first_end)
+      << "B started " << ms_after(t.b_first, t.a_first_end)
+      << " after A's first iteration ended";
+}
+
+// --- threaded mode: namespace reuse ---------------------------------------
+
+program::BodyFn poison_body() {
+  return [](ProcId, const IndexVec&, i64) {
+    throw std::runtime_error("poison body");
+  };
+}
+
+/// One slot of the reuse mix: a program of shape `shape` (0 Doacross chain,
+/// 1 sharded flat Doall, 2 Fig. 1 under GSS, 3 random nest) whose bodies
+/// write into this slot's own buffers, and the serial oracle's view of it.
+struct ReuseSlot {
+  std::vector<u64> out;
+  testing::Recorder rec;
+};
+
+constexpr u32 kReuseShapes = 4;
+
+std::shared_ptr<const program::NestedLoopProgram> reuse_program(
+    u32 shape, u64 seed, ReuseSlot& slot) {
+  switch (shape) {
+    case 0:
+    case 1:
+      std::fill(slot.out.begin(), slot.out.end(), 0);
+      return std::make_shared<const program::NestedLoopProgram>(
+          oversubscribed_program(shape, slot.out));
+    case 2:
+      return std::make_shared<const program::NestedLoopProgram>(
+          program::make_fig1({}, slot.rec.factory()));
+    default: {
+      workloads::RandomProgramConfig cfg;
+      cfg.max_depth = 3;
+      return std::make_shared<const program::NestedLoopProgram>(
+          workloads::random_program(seed, cfg, slot.rec.factory()));
+    }
+  }
+}
+
+TEST(Serve, ReusedNamespacesMatchTheSerialOracleAcrossShapes) {
+  // About a thousand back-to-back submissions, closed loop, on 3 workers:
+  // Doacross chains, flat Doalls large enough to shard under `self`, Fig. 1
+  // under GSS (step tables) and random nests with other loop counts, so a
+  // reused namespace's lists, ICB arena and BAR_COUNT storage are reset
+  // for a program of another shape nearly every time.  Every third
+  // submission is audited; each result is checked against the serial
+  // oracle, and most activations must have reused a namespace.
+  constexpr i64 kN = 512;
+  static_assert(kN >= runtime::kShardMinItersPerWorker * 3);
+  constexpr u32 kDepth = 6;
+  constexpr u64 kOps = 1000;
+  constexpr u64 kRandomSeeds = 16;
+  serve::ServeOptions so;
+  so.priorities = 1;
+  so.max_queue_depth = 4 * kDepth;
+  serve::Service svc(3, so);
+
+  std::array<std::vector<u64>, 2> want_out;
+  for (u32 k = 0; k < 2; ++k) {
+    want_out[k].assign(static_cast<std::size_t>(kN) + 1, 0);
+    baselines::run_sequential(oversubscribed_program(k, want_out[k]), 1,
+                              true);
+  }
+  // Serial iteration multisets: [0] Fig. 1, [1 + s] random seed s.
+  std::vector<std::vector<testing::IterationKey>> want_keys;
+  {
+    ReuseSlot serial;
+    for (u64 k = 0; k <= kRandomSeeds; ++k) {
+      serial.rec.clear();
+      const auto prog = reuse_program(k == 0 ? 2 : 3, k - 1, serial);
+      baselines::run_sequential(*prog, 1, true);
+      want_keys.push_back(testing::normalized(serial.rec.sorted(), *prog));
+    }
+  }
+
+  std::vector<ReuseSlot> slots(kDepth);
+  for (ReuseSlot& slot : slots) {
+    slot.out.assign(static_cast<std::size_t>(kN) + 1, 0);
+  }
+  struct InFlight {
+    u32 slot;
+    u32 shape;
+    u64 seed;
+    std::shared_ptr<const program::NestedLoopProgram> prog;
+    serve::Handle handle;
+  };
+  std::deque<InFlight> q;
+  u64 submitted = 0;
+  const auto submit = [&](u32 slot) {
+    const u32 shape = static_cast<u32>(submitted % kReuseShapes);
+    const u64 seed = submitted / kReuseShapes % kRandomSeeds;
+    slots[slot].rec.clear();
+    auto prog = reuse_program(shape, seed, slots[slot]);
+    serve::SubmitOptions s;
+    s.tenant = submitted / 3 % 2;
+    s.deadline_ms = 20000;
+    s.sched.audit = submitted % 3 == 0;
+    if (shape == 2) s.strategy = runtime::Strategy::gss();
+    auto out = svc.submit(prog, s);
+    ASSERT_TRUE(out.accepted()) << "op " << submitted;
+    q.push_back({slot, shape, seed, std::move(prog), out.handle});
+    ++submitted;
+  };
+  for (u32 slot = 0; slot < kDepth; ++slot) submit(slot);
+  for (u64 op = 0; op < kOps; ++op) {
+    InFlight f = q.front();
+    q.pop_front();
+    const auto r = f.handle.await();
+    ASSERT_FALSE(r.failure.has_value())
+        << "op " << op << ": " << r.failure->message;
+    ASSERT_EQ(r.audit_violations, 0u) << "op " << op << ": "
+                                      << r.audit_report;
+    ReuseSlot& slot = slots[f.slot];
+    if (f.shape < 2) {
+      ASSERT_EQ(r.total.iterations, static_cast<u64>(kN)) << "op " << op;
+      ASSERT_EQ(slot.out, want_out[f.shape]) << "op " << op;
+    } else {
+      const auto& want = want_keys[f.shape == 2 ? 0 : 1 + f.seed];
+      ASSERT_EQ(r.total.iterations, want.size()) << "op " << op;
+      ASSERT_EQ(testing::normalized(slot.rec.sorted(), *f.prog), want)
+          << "op " << op;
+    }
+    if (submitted < kOps) submit(f.slot);
+  }
+  EXPECT_GT(svc.counters().serve_reuses, kOps / 2);
+}
+
+TEST(Serve, ReusedNamespacesStartCleanAfterFailures) {
+  // One namespace at a time (max_active = 1), so each clean run's
+  // namespace is the next activation's.  Between clean runs: a body throw,
+  // an expired deadline and a client cancel, whose namespaces must be
+  // destroyed rather than reused, and a run that armed a deadline it never
+  // reached, whose namespace is reused and must leave nothing armed
+  // behind.  Every clean run is audited and counts exactly its own work;
+  // traced and untraced runs alternate on the same namespace.
+  serve::ServeOptions so;
+  so.priorities = 1;
+  so.max_active = 1;
+  serve::Service svc(3, so);
+  const auto prog = shared_random(77);
+  const auto serial = baselines::run_sequential(*prog, 1, false);
+
+  runtime::RunResult first;
+  const auto run_clean = [&](u64 round, bool traced) {
+    serve::SubmitOptions s;
+    s.sched.audit = true;
+    s.sched.trace_events = traced;
+    auto out = svc.submit(prog, s);
+    ASSERT_TRUE(out.accepted());
+    const auto r = out.handle.await();
+    ASSERT_FALSE(r.failure.has_value())
+        << "round " << round << ": " << r.failure->message;
+    EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
+    EXPECT_EQ(r.total.iterations, serial.iterations) << "round " << round;
+    EXPECT_EQ(r.trace_events.empty(), !traced) << "round " << round;
+    if (round == 0) {
+      first = r;
+      return;
+    }
+    // Counters and stat slots restart with the namespace.
+    EXPECT_EQ(r.counters.pool_appends, first.counters.pool_appends)
+        << "round " << round;
+    EXPECT_EQ(r.total.enters, first.total.enters) << "round " << round;
+  };
+  // Returns whether the failed run was ever activated (had a namespace).
+  const auto fail_with =
+      [&](fault::FailureRecord::Kind want, const serve::SubmitOptions& s,
+          std::shared_ptr<const program::NestedLoopProgram> p,
+          const std::atomic<bool>* cancel_once) -> bool {
+    auto out = svc.submit(std::move(p), s);
+    EXPECT_TRUE(out.accepted());
+    if (cancel_once != nullptr) {
+      while (!cancel_once->load()) std::this_thread::yield();
+      out.handle.cancel();
+    }
+    const auto r = out.handle.await();
+    EXPECT_TRUE(r.failure.has_value());
+    if (r.failure.has_value()) {
+      EXPECT_EQ(r.failure->kind, want);
+    }
+    return !r.tenants.empty() && r.tenants.front().slices > 0;
+  };
+  // Far more work than 20 ms, as modeled cost (spun by the threads
+  // engine) or as a body that also says it has started.
+  const auto slow = std::make_shared<const program::NestedLoopProgram>(
+      workloads::flat_doall(
+          200000, [](const IndexVec&, i64) -> Cycles { return 2000; }));
+  std::atomic<bool> started{false};
+  const auto slow_started = shared_doall(200000, [&](ProcId, const IndexVec&,
+                                                     i64 j) {
+    started.store(true);
+    u64 x = 0;
+    for (int i = 0; i < 20; ++i) x = spin_mix(x, j);
+    EXPECT_NE(x, 1u);
+  });
+
+  run_clean(0, false);
+  for (u64 round = 1; round <= 8; ++round) {
+    bool kept = true;  // the previous run left its namespace for reuse
+    switch (round % 4) {
+      case 0:
+        kept = !fail_with(fault::FailureRecord::Kind::kBodyException, {},
+                          shared_doall(64, poison_body()), nullptr);
+        break;
+      case 1: {
+        serve::SubmitOptions s;
+        s.deadline_ms = 20;
+        kept = !fail_with(fault::FailureRecord::Kind::kDeadline, s, slow,
+                          nullptr);
+        break;
+      }
+      case 2:
+        started.store(false);
+        kept = !fail_with(fault::FailureRecord::Kind::kCancelled, {},
+                          slow_started, &started);
+        break;
+      default: {
+        // A deadline that the run beats but that expires before the next
+        // run ends: were it left armed, the next run would fail with it.
+        serve::SubmitOptions s;
+        s.deadline_ms = 30;
+        auto out = svc.submit(shared_doall(8), s);
+        ASSERT_TRUE(out.accepted());
+        ASSERT_FALSE(out.handle.await().failure.has_value());
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        break;
+      }
+    }
+    const u64 reuses = svc.counters().serve_reuses;
+    run_clean(round, round % 2 == 0);
+    EXPECT_EQ(svc.counters().serve_reuses - reuses, kept ? 1u : 0u)
+        << "round " << round;
+  }
 }
 
 // --- deterministic mode: replayability -----------------------------------
@@ -549,12 +844,6 @@ TEST(Serve, DeterministicModeIsBitIdentical) {
 }
 
 // --- resilience layer (serve/resilience.hpp, docs/robustness.md) ---------
-
-program::BodyFn poison_body() {
-  return [](ProcId, const IndexVec&, i64) {
-    throw std::runtime_error("poison body");
-  };
-}
 
 TEST(ServeResilience, DefaultPolicyIsFullyDisabled) {
   const serve::ResiliencePolicy pol;

@@ -15,7 +15,8 @@
 #                                  # tests of test_audit, the
 #                                  # strategy-conformance tests of
 #                                  # test_runtime_units, and the served
-#                                  # sharded-index / tiny-slice tests of
+#                                  # sharded-index / tiny-slice, grant-
+#                                  # order and namespace-reuse tests of
 #                                  # test_serve)
 #   tools/check.sh --fast          # tier-1 only
 #   tools/check.sh --repeat        # tier-1 build, then the audit, threads,
@@ -123,7 +124,11 @@ TSAN_STRATEGY_TESTS='Strategy*:*PortfolioSweep*'
 # runs in --audit: test_fault and test_audit in the unit tier,
 # test_thread_team on its own.
 TSAN_CANCEL_TESTS='AuditCancel*'
-TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield'
+# The served closed loops of test_serve for the default TSan pass: sharded
+# chains and flat loops, tiny-slice yields, the grant order's idle-first
+# rule, and namespace reuse (mixed shapes, and clean runs after failed
+# ones), where a reset that missed a field would race the next run.
+TSAN_SERVE_TESTS='Serve.ShardedIndexChainsAndFlatLoopsComplete:Serve.TinySlicesPublishCompletionsAtTheYield:Serve.FreeWorkerStaffsAnIdleNamespaceBeforeALessChargedTenant:Serve.ReusedNamespaces*'
 
 if [[ "$SERVE" == 1 ]]; then
   # serve-stress sets opts.audit on every submission, so both sanitizer
